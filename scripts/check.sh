@@ -50,6 +50,12 @@
 #                                and the interpreter benchmark (engine
 #                                speedups + decode throughput) with its
 #                                >25% regression guard
+#   scripts/check.sh perf        pipeline benchmark smoke: one traced
+#                                crash-triage run (1 s window, at least
+#                                four full-scale cycles); fails unless
+#                                the result line reads correct: true —
+#                                ground-truth bucket signatures, chain
+#                                incidents, the faulting line shown
 #   scripts/check.sh bench       interpreter + fleet-ingest + fleet-GC +
 #                                federation + replay benchmarks; writes
 #                                BENCH_interpreter.json and
@@ -110,6 +116,18 @@ case "${1:-test-fast}" in
     python benchmarks/bench_interpreter.py
     exec python benchmarks/bench_interpreter.py --check
     ;;
+  perf)
+    # The result object is the last line of standard output.
+    result=$(python3 perfbench/run.py --workload crash-triage --seed 1 \
+      --seconds 1 --trace 1 | tail -n 1)
+    correct=$(python3 -c \
+      'import json, sys; print(json.loads(sys.argv[1])["correct"])' "$result")
+    if [ "$correct" != True ]; then
+      echo "perf: crash-triage result not correct: ${result:0:300}" >&2
+      exit 1
+    fi
+    echo "perf: crash-triage correct"
+    ;;
   bench)
     python benchmarks/bench_interpreter.py
     python benchmarks/bench_fleet_ingest.py
@@ -122,7 +140,7 @@ case "${1:-test-fast}" in
     exec python benchmarks/bench_replay.py --check
     ;;
   *)
-    echo "usage: $0 {test-fast|test-all|chaos|fleet|gc|triage|remote|replay|tier3|bench}" >&2
+    echo "usage: $0 {test-fast|test-all|chaos|fleet|gc|triage|remote|replay|tier3|perf|bench}" >&2
     exit 2
     ;;
 esac

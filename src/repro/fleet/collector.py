@@ -358,7 +358,10 @@ class Collector:
 
         Terminates unconditionally: every pass either stores an item or
         advances its attempt counter toward the dead-letter limit.
-        Checkpoints the vault's incident index once the queue is dry.
+        Once the queue is dry, offers the vault a checkpoint of its
+        incident index (:meth:`SnapVault.flush_index`), which writes
+        one only when none is on disk or the un-checkpointed tail
+        reached an eighth of what the last one covers.
         """
         total = 0
         while self.queue:

@@ -62,6 +62,7 @@ class FleetMetrics:
     index_persists: int = 0  # incidents.idx checkpoints written
     index_loads: int = 0  # incidents.idx adopted as-is at open
     index_catchups: int = 0  # entries replayed on top of a checkpoint
+    index_open_rebuilds: int = 0  # opens with no usable incidents.idx
     incident_lookups: int = 0  # O(result) indexed incident queries
 
     # -- query engine --------------------------------------------------
@@ -150,7 +151,8 @@ class FleetMetrics:
         lines.append(
             f"  incident index: {self.index_persists} persists, "
             f"{self.index_loads} loads, {self.index_catchups} catch-up "
-            f"entries, {self.incident_lookups} indexed lookups"
+            f"entries, {self.index_open_rebuilds} open rebuilds, "
+            f"{self.incident_lookups} indexed lookups"
         )
         lines.append(
             f"  query: {self.queries} queries, {self.entries_scanned} entries "

@@ -240,8 +240,9 @@ class VaultQuery:
     def top(self, limit: int | None = None):
         """Ranked "top crashers" buckets — O(buckets), no archives.
 
-        Served straight from the vault's incrementally-maintained
-        bucket state (:class:`~repro.fleet.index.IncidentIndex`); see
+        Served straight from the running per-bucket summaries the
+        vault's :class:`~repro.fleet.index.IncidentIndex` keeps at
+        ingest (no member walk); see
         :func:`repro.fleet.triage.top_buckets` for the ranking rules.
         Returns :class:`~repro.fleet.triage.CrashBucket` objects.
         """

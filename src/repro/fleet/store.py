@@ -60,7 +60,9 @@ Retention + compaction (the GC pass; see :mod:`repro.fleet.retention`):
 * the ``incidents.idx`` checkpoint is invalidated before the first
   manifest mutation and rebuilt from the surviving entries afterwards,
   so a crash can never leave a checkpoint that outlives the manifests
-  it summarized;
+  it summarized; victims leave the index's bucket summaries in the
+  same lock hold that drops them from the in-memory view, so ``top()``
+  never counts an entry the vault no longer holds;
 * compaction runs concurrently with multi-collector ingest: a
   re-arrival of content being collected re-stores it as a fresh entry
   (its manifest line lands after the tombstone, and per-shard
@@ -100,6 +102,30 @@ TOMBSTONE_KEY = "tomb"
 
 #: Subdirectory where module mapfiles ride along with the evidence.
 MAPFILE_DIR = "mapfiles"
+
+_OPTIONAL_STR = (str, type(None))
+
+#: The JSON types each manifest field may hold (exact types: a bool is
+#: not a seq).  Opening a vault sorts, hashes and indexes these fields,
+#: so a line that parses but carries a wrong-typed one is skipped like
+#: a torn line instead of raising out of ``SnapVault(root)``.
+ENTRY_FIELD_TYPES = {
+    "digest": (str,),
+    "seq": (int,),
+    "shard": (int,),
+    "machine": (str,),
+    "process": (str,),
+    "pid": (int,),
+    "reason": (str,),
+    "clock": (int,),
+    "size": (int,),
+    "sync_ids": (list,),
+    "group": _OPTIONAL_STR,
+    "initiator": _OPTIONAL_STR,
+    "initiator_reason": _OPTIONAL_STR,
+    "sig": _OPTIONAL_STR,
+    "replayable": (str,),
+}
 
 
 class VaultError(ValueError):
@@ -174,6 +200,14 @@ class VaultEntry:
     @classmethod
     def from_dict(cls, d: dict) -> "VaultEntry":
         return cls(**d)
+
+    def well_typed(self) -> bool:
+        """Every field holds the type a manifest line must carry."""
+        fields = vars(self)
+        for name, types in ENTRY_FIELD_TYPES.items():
+            if type(fields[name]) not in types:
+                return False
+        return all(type(i) is int for i in self.sync_ids)
 
     @classmethod
     def from_snap(
@@ -404,7 +438,10 @@ class SnapVault:
         tombstone line kills every entry that precedes it; a later
         entry line resurrects the digest (re-ingest after compaction).
         Unparseable lines — a torn tail from a kill mid-append — are
-        skipped, which is exactly the pre-write view.
+        skipped, which is exactly the pre-write view; so are lines that
+        parse but carry a wrong-typed field (:data:`ENTRY_FIELD_TYPES`)
+        or a tombstone naming a non-digest.  Such an entry's blob heals
+        back on redelivery or through :meth:`rebuild_index`.
         """
         live: dict[str, VaultEntry] = {}
         dead: set[str] = set()
@@ -423,6 +460,10 @@ class SnapVault:
                     victims = record[TOMBSTONE_KEY]
                     if isinstance(victims, str):
                         victims = [victims]
+                    if not isinstance(victims, list) or not all(
+                        isinstance(d, str) for d in victims
+                    ):
+                        continue
                     for digest in victims:
                         live.pop(digest, None)
                         dead.add(digest)
@@ -433,6 +474,8 @@ class SnapVault:
                     # A torn trailing line from a kill mid-append:
                     # the blob write is atomic, so rebuild_index can
                     # still restore this entry from the archive.
+                    continue
+                if not entry.well_typed():
                     continue
                 # Re-insert so a resurrected digest sorts after its
                 # tombstone in file order.
@@ -485,19 +528,28 @@ class SnapVault:
         elif how == "caught-up":
             self.metrics.index_loads += 1
             self.metrics.index_catchups += self.incident_index.dirty
+        elif self.index:
+            # No usable checkpoint (missing, torn, malformed, another
+            # window, or disowned by the manifests): every entry was
+            # replayed from scratch.
+            self.metrics.index_open_rebuilds += 1
 
     def flush_index(self) -> str | None:
-        """Checkpoint the incident index to ``incidents.idx``.
+        """Checkpoint the incident index to ``incidents.idx`` when due.
 
-        Collectors call this when a drain completes; it is cheap to
-        skip when nothing changed.  The checkpoint is an accelerator:
-        anything not flushed is replayed from the manifests at the
-        next open.
+        Collectors call this when a drain completes.  It writes only
+        when no valid checkpoint is on disk, or when the entries added
+        since the last one reach an eighth of the entries it covers
+        (``CHECKPOINT_TAIL`` in :mod:`repro.fleet.index`); otherwise it
+        returns None and the new entries live only in the manifests.
+        The checkpoint is an accelerator: an open replays the
+        un-flushed tail — under a ninth of the vault — on top of it.
+        Returns the checkpoint's path when it wrote one.
         """
         with self._lock:
-            if not self.incident_index.dirty and os.path.exists(
+            if os.path.exists(
                 os.path.join(self.root, self.incident_index_path())
-            ):
+            ) and not self.incident_index.checkpoint_due():
                 return None
             path = self.incident_index.persist(self.root)
             self.metrics.index_persists += 1
@@ -650,8 +702,10 @@ class SnapVault:
         1. one tombstone line naming every victim is appended with a
            single ``os.write`` (the commit point: torn = pre view,
            landed = post view, nothing in between);
-        2. victims leave the in-memory index, so a concurrent
-           re-arrival of the same content re-stores it fresh;
+        2. victims leave the in-memory index — and, in the same lock
+           hold, the incident index's bucket summaries — so a
+           concurrent re-arrival of the same content re-stores it
+           fresh and ``top()`` counts only what the vault holds;
         3. victim blobs are unlinked (idempotent redo of what the
            tombstone committed; a kill here is finished at next open);
         4. the manifest is atomically rewritten without dead entries
@@ -689,11 +743,14 @@ class SnapVault:
                     # after our tombstone) instead of dedup-hitting an
                     # entry that is about to die.
                     with self._lock:
+                        dropped = []
                         for entry in victims:
                             if self.index.pop(entry.digest, None) is not None:
-                                removed += 1
+                                dropped.append(entry.digest)
                             self._digests.discard(entry.digest)
                             self._manifested.discard(entry.digest)
+                        self.incident_index.drop(dropped)
+                        removed += len(dropped)
                     self._append_tombstone(
                         shard, [e.digest for e in victims]
                     )

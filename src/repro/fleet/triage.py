@@ -7,11 +7,11 @@ show me one good trace of each"*.  This module is that view:
 * a :class:`CrashBucket` summarizes one signature's standing — how
   many snaps and incidents carry it, when it was first and last seen
   (ingest seqs), which machines and processes it hit, and the exemplar
-  digest kept for a future ``tbtrace replay`` to confirm the
-  diagnosis;
+  digest ``tbtrace report --verify`` replays to confirm the diagnosis
+  and GC pins while the bucket is open;
 * :func:`top_buckets` ranks them (count desc, first-seen asc) straight
-  off the vault's incrementally-maintained bucket state — O(buckets),
-  no reconstruction;
+  off the running per-bucket summaries the incident index keeps at
+  ingest — O(buckets), no member walk, no reconstruction;
 * :func:`build_report` produces the forensics report ``tbtrace
   report`` emits: a canonical JSON document (no absolute paths, no
   wall-clock timestamps — byte-stable for a fixed vault, which the
@@ -90,36 +90,32 @@ def top_buckets(
 ) -> list[CrashBucket]:
     """Ranked crash buckets, biggest first — O(buckets), no archives.
 
-    Counts are taken against the *live* entry set (a compaction racing
-    this listing may have dropped members the index still remembers),
-    then ranked count-desc / first-seen-asc / signature so the order is
-    a total one and listings are reproducible.
+    Read from the incident index's running per-bucket summaries, which
+    count exactly the vault's live entries (a compaction in flight
+    hands its victims to the index as it drops them), then ranked
+    count-desc / first-seen-asc / signature so the order is a total one
+    and listings are reproducible.
     """
-    index = vault.incident_index
     buckets: list[CrashBucket] = []
-    for sig, components in index.buckets_ranked():
-        entries = [
-            e
-            for c in components
-            for e in (vault.index.get(d) for d in c.digests)
-            if e is not None
-        ]
-        if not entries:
-            continue  # every member compacted away mid-listing
-        seqs = [e.seq for e in entries]
-        buckets.append(
-            CrashBucket(
-                sig=sig,
-                key=signature_key(sig),
-                count=len(entries),
-                incidents=len(components),
-                first_seq=min(seqs),
-                last_seq=max(seqs),
-                machines=sorted({e.machine for e in entries}),
-                processes=sorted({e.process for e in entries}),
-                exemplar=index.exemplar_digest(sig),
+    # The index lock: summaries change under ingest and compaction.
+    with vault._lock:
+        summaries = vault.incident_index.bucket_summaries()
+        for sig, summary in summaries.items():
+            if not summary.count:
+                continue  # every member compacted away mid-listing
+            buckets.append(
+                CrashBucket(
+                    sig=sig,
+                    key=signature_key(sig),
+                    count=summary.count,
+                    incidents=summary.incidents,
+                    first_seq=summary.first_seq,
+                    last_seq=summary.last_seq,
+                    machines=sorted(summary.machines),
+                    processes=sorted(summary.processes),
+                    exemplar=summary.exemplar,
+                )
             )
-        )
     buckets.sort(key=lambda b: (-b.count, b.first_seq, b.sig))
     if limit is not None:
         buckets = buckets[:limit]

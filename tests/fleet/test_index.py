@@ -205,6 +205,70 @@ def test_torn_checkpoint_rebuilds(tmp_path, make_vault_snaps):
     assert how == "loaded"
 
 
+def _extra_component(doc, component):
+    doc["components"].append(component)
+
+
+def _first_member(doc, position, value):
+    doc["components"][0]["members"][0][position] = value
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda doc: _extra_component(
+            doc, {"members": [], "kinds": [], "sig": None}
+        ),
+        lambda doc: _extra_component(doc, {"kinds": [], "sig": None}),
+        lambda doc: _extra_component(doc, "not-a-component"),
+        lambda doc: _first_member(doc, 1, ["list", "digest"]),
+        lambda doc: doc["components"][0].update(kinds=5),
+    ],
+    ids=[
+        "empty-members",
+        "no-members",
+        "component-not-a-dict",
+        "list-digest",
+        "integer-kinds",
+    ],
+)
+def test_malformed_checkpoint_rebuilds(tmp_path, make_vault_snaps, damage):
+    """A checkpoint that parses as JSON but is malformed anywhere is as
+    unusable as a torn one: the open rebuilds from the manifests."""
+    root = str(tmp_path / "vault")
+    vault = SnapVault(root, shards=2)
+    for snap in make_vault_snaps(12):
+        vault.put(snap)
+    path = vault.flush_index()
+    good = open(path, "rb").read()
+    doc = json.loads(good)
+    damage(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    reopened = SnapVault(root, shards=2)
+    assert reopened.incident_index.to_bytes() == good
+    assert reopened.metrics.index_loads == 0
+    assert reopened.metrics.index_open_rebuilds == 1
+
+
+def test_open_rebuilds_are_counted(tmp_path, make_vault_snaps):
+    root = str(tmp_path / "vault")
+    fresh = SnapVault(root, shards=2)
+    assert fresh.metrics.index_open_rebuilds == 0  # nothing to replay
+    for snap in make_vault_snaps(8):
+        fresh.put(snap)
+    fresh.flush_index()
+    adopted = SnapVault(root, shards=2)
+    assert adopted.metrics.index_loads == 1
+    assert adopted.metrics.index_open_rebuilds == 0
+    other_window = SnapVault(root, shards=2, link_window=3)
+    assert other_window.metrics.index_open_rebuilds == 1
+    (tmp_path / "vault" / INDEX_FILE).unlink()
+    missing = SnapVault(root, shards=2)
+    assert missing.metrics.index_open_rebuilds == 1
+    assert "1 open rebuilds" in missing.metrics.render()
+
+
 def test_stale_checkpoint_catches_up(tmp_path, make_vault_snaps):
     root = str(tmp_path / "vault")
     snaps = make_vault_snaps(16)

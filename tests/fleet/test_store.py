@@ -161,6 +161,38 @@ def test_torn_manifest_line_skipped(tmp_path):
     assert len(reopened) == 1
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("seq", "5"), ("sync_ids", 7), ("digest", ["not", "hashable"])],
+    ids=["string-seq", "non-list-sync-ids", "list-digest"],
+)
+def test_wrong_typed_manifest_line_skipped(tmp_path, field, value):
+    """A line that parses as JSON but carries a wrong-typed field is
+    skipped like a torn one instead of raising out of the open."""
+    root = str(tmp_path)
+    vault = SnapVault(root, shards=1)
+    kept = {vault.put(make_snap(payload=i)).digest for i in range(2)}
+    bad = vault.index[next(iter(kept))].to_dict()
+    bad.update(digest="f" * 32, seq=7)
+    bad[field] = value
+    manifest = os.path.join(root, "shard-00", MANIFEST)
+    with open(manifest, "a") as fh:
+        fh.write(json.dumps(bad) + "\n")
+    reopened = SnapVault(root, shards=1)
+    assert set(reopened.index) == kept
+
+
+def test_tombstone_naming_non_digests_skipped(tmp_path):
+    root = str(tmp_path)
+    vault = SnapVault(root, shards=1)
+    kept = {vault.put(make_snap(payload=i)).digest for i in range(2)}
+    manifest = os.path.join(root, "shard-00", MANIFEST)
+    with open(manifest, "a") as fh:
+        fh.write(json.dumps({"tomb": [["x"]]}) + "\n")
+        fh.write(json.dumps({"tomb": 5}) + "\n")
+    assert set(SnapVault(root, shards=1).index) == kept
+
+
 def test_rebuild_index_from_archives(tmp_path):
     root = str(tmp_path)
     vault = SnapVault(root, shards=2)
