@@ -1,18 +1,17 @@
-"""Interpreter engine benchmark: all three TBVM tiers + trace decode.
+"""Interpreter engine benchmark: both TBVM tiers + trace decode.
 
 Measures guest instructions per second for every engine tier on a
 representative slice of the specint workload suite, plus trace-record
 decode throughput (scalar oracle vs the vectorized bulk scanners), and
 records the results in ``BENCH_interpreter.json`` at the repo root.
 
-The tiers exist to make the simulation usable at paper-scale workloads;
-this benchmark holds them to their contracts:
+Tier 3 exists to make the simulation usable at paper-scale workloads;
+this benchmark holds it to its contract:
 
-* ``fast`` (tier 2, predecoded closures): >= 2x geometric-mean speedup
-  over ``Machine.step()``;
-* ``block`` (tier 3, fused basic-block units, :mod:`repro.vm.blocks`):
-  >= 4x geometric-mean speedup in the in-test floor (the recorded
-  numbers run >= 5x; the floor leaves noise headroom on busy CI boxes);
+* ``block`` (tier 3, fused straight-line units, :mod:`repro.vm.blocks`):
+  >= 4x geometric-mean speedup over ``Machine.step()`` in the in-test
+  floor (the recorded numbers run >= 5x; the floor leaves noise
+  headroom on busy CI boxes);
 * bulk decode (:func:`repro.runtime.records.read_forward_bulk` and the
   salvage resync scanner): >= 3x the scalar oracle's word throughput;
 * identical program output and cycle counts across tiers (the
@@ -53,7 +52,7 @@ from repro.workloads.specint import benchmark_named
 SCHEMA = "tbvm-interpreter-bench/2"
 
 #: Engine tiers, slowest first; speedups are relative to the first.
-TIERS = ("reference", "fast", "block")
+TIERS = ("reference", "block")
 
 #: A spread of workload shapes: tight integer loops (gzip, mcf), pointer
 #: chasing (parser), branchy search (crafty), and call-heavy (gap).
@@ -65,7 +64,6 @@ REPEATS = 3
 #: In-test floors (geometric mean over WORKLOADS).  Conservative vs the
 #: recorded numbers so a noisy box doesn't flake the slow lane; the
 #: ``--check`` history guard watches the recorded numbers themselves.
-MIN_FAST_GEO_MEAN_SPEEDUP = 2.0
 MIN_BLOCK_GEO_MEAN_SPEEDUP = 4.0
 MIN_DECODE_SPEEDUP = 3.0
 
@@ -205,8 +203,6 @@ def run_benchmark() -> dict:
         "schema": SCHEMA,
         "workloads": rows,
         "geo_mean": geo_mean,
-        # Kept for readers of the v1 shape: the fast tier's geo mean.
-        "geo_mean_speedup": geo_mean["fast"],
         "decode": decode,
     }
     # Other benchmarks (bench_replay) keep their own sections in the
@@ -216,6 +212,8 @@ def run_benchmark() -> dict:
         previous = json.loads(OUTPUT_PATH.read_text())
     except (OSError, ValueError):
         previous = {}
+    # The retired tier-2 engine's geo mean, a copy of ``geo_mean``.
+    previous.pop("geo_mean_speedup", None)
     history = previous.get("history", [])
     history.append(
         {
@@ -276,25 +274,21 @@ def _render(report: dict) -> str:
             row["name"],
             row["instructions"],
             f"{row['engines']['reference']['ips']:,}",
-            f"{row['engines']['fast']['ips']:,}",
             f"{row['engines']['block']['ips']:,}",
-            f"{row['speedup']['fast']:.2f}x",
             f"{row['speedup']['block']:.2f}x",
         )
         for row in report["workloads"]
     ]
     rows.append(
         (
-            "geo mean", "", "", "", "",
-            f"{report['geo_mean']['fast']:.2f}x",
+            "geo mean", "", "", "",
             f"{report['geo_mean']['block']:.2f}x",
         )
     )
     engines = format_table(
         rows,
         headers=[
-            "workload", "instructions", "ref ips", "fast ips", "block ips",
-            "fast", "block",
+            "workload", "instructions", "ref ips", "block ips", "block",
         ],
         title="Interpreter engines: instructions/second",
     )
@@ -317,9 +311,6 @@ def _render(report: dict) -> str:
 def test_engine_and_decode_speedups(report):
     result = run_benchmark()
     report.append(_render(result))
-    assert result["geo_mean"]["fast"] >= MIN_FAST_GEO_MEAN_SPEEDUP, (
-        f"fast engine only {result['geo_mean']['fast']:.2f}x over reference"
-    )
     assert result["geo_mean"]["block"] >= MIN_BLOCK_GEO_MEAN_SPEEDUP, (
         f"block engine only {result['geo_mean']['block']:.2f}x over reference"
     )

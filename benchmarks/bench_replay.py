@@ -18,8 +18,8 @@ multithreaded subjects:
   ``MAX_BYTES_PER_EVENT``) and the packed columnar ``tb-ndlog/2`` the
   snap actually ships (asserted under ``MAX_BYTES_PER_EVENT_V2``,
   with the v1->v2 size reduction asserted >= ``MIN_V2_REDUCTION``).
-* **replay throughput** — replay re-executes on the fast engine while
-  forcing recorded slice boundaries; the recorded run pays
+* **replay throughput** — replay re-executes on the default engine
+  while forcing recorded slice boundaries; the recorded run pays
   instrumentation and record-write costs instead.  Both sides are
   reported as guest instructions per second; ``replay_vs_record`` is
   their ratio.

@@ -42,20 +42,26 @@
 #                                (ndlog overhead + replay throughput)
 #                                merged into BENCH_interpreter.json
 #   scripts/check.sh tier3       block-compiled engine subsystem: the
-#                                three-tier differential suite, the
+#                                two-tier differential suite, the
 #                                tier-3 unit tests, the full cross-
 #                                engine replay sweep (62 seeded
-#                                crashers recorded on one tier and
-#                                replayed on another, both directions),
-#                                and the interpreter benchmark (engine
-#                                speedups + decode throughput) with its
-#                                >25% regression guard
+#                                crashers recorded on block and
+#                                replayed on reference, and the other
+#                                way round), and the interpreter
+#                                benchmark (engine speedup + decode
+#                                throughput) with its >25% regression
+#                                guard
 #   scripts/check.sh perf        pipeline benchmark smoke: one traced
 #                                crash-triage run (1 s window, at least
-#                                four full-scale cycles); fails unless
-#                                the result line reads correct: true —
-#                                ground-truth bucket signatures, chain
-#                                incidents, the faulting line shown
+#                                four full-scale cycles) and one traced
+#                                traced-kernels run (1 s window, two
+#                                passes over the five kernels); fails
+#                                unless both result lines read
+#                                correct: true — ground-truth bucket
+#                                signatures, chain incidents, the
+#                                faulting line shown; traced kernel
+#                                output equal to the bare run's and
+#                                repeatable cycle counts
 #   scripts/check.sh bench       interpreter + fleet-ingest + fleet-GC +
 #                                federation + replay benchmarks; writes
 #                                BENCH_interpreter.json and
@@ -117,16 +123,18 @@ case "${1:-test-fast}" in
     exec python benchmarks/bench_interpreter.py --check
     ;;
   perf)
-    # The result object is the last line of standard output.
-    result=$(python3 perfbench/run.py --workload crash-triage --seed 1 \
-      --seconds 1 --trace 1 | tail -n 1)
-    correct=$(python3 -c \
-      'import json, sys; print(json.loads(sys.argv[1])["correct"])' "$result")
-    if [ "$correct" != True ]; then
-      echo "perf: crash-triage result not correct: ${result:0:300}" >&2
-      exit 1
-    fi
-    echo "perf: crash-triage correct"
+    for workload in crash-triage traced-kernels; do
+      # The result object is the last line of standard output.
+      result=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+        --seconds 1 --trace 1 | tail -n 1)
+      correct=$(python3 -c \
+        'import json, sys; print(json.loads(sys.argv[1])["correct"])' "$result")
+      if [ "$correct" != True ]; then
+        echo "perf: $workload result not correct: ${result:0:300}" >&2
+        exit 1
+      fi
+      echo "perf: $workload correct"
+    done
     ;;
   bench)
     python benchmarks/bench_interpreter.py

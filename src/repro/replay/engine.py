@@ -2,8 +2,8 @@
 
 :class:`ReplayEngine` rebuilds the recorded process from the ndlog
 header (same machine identity, pid, runtime id, modules, start
-threads), then re-executes the run on the fast-dispatch engine,
-forcing each recorded nondeterminism point:
+threads), then re-executes the run on Machine's default engine (or the
+one ``engine=`` names), forcing each recorded nondeterminism point:
 
 * **slices** — the machine clock is forced to the recorded slice start
   (other processes on the recorded machine advanced it in between) and
@@ -52,13 +52,16 @@ from repro.vm.thread import Thread
 class ReplayEngine:
     """Re-execute one snap's recorded run, stopping exactly at the fault."""
 
-    def __init__(self, snap: SnapFile, breakpoints=None, engine: str = "fast"):
+    def __init__(
+        self, snap: SnapFile, breakpoints=None, engine: str | None = None
+    ):
         replay = getattr(snap, "replay", None) or {}
-        #: Which interpreter tier re-executes the run.  Replay is
-        #: engine-agnostic: all tiers retire instructions on identical
-        #: boundaries (the block engine falls back to per-instruction
-        #: dispatch at partial slices), so forced slices and breakpoints
-        #: land on the same instruction under any of them.
+        #: Which interpreter tier re-executes the run (``engine=None``
+        #: means Machine's default, so ``TBVM_ENGINE`` applies).  Replay is
+        #: engine-agnostic: both tiers retire instructions on identical
+        #: boundaries (tier-3 units run partially where a slice ends
+        #: mid-unit), so forced slices and breakpoints land on the same
+        #: instruction under either of them.
         self.engine = engine
         ndlog = replay.get("ndlog")
         if not isinstance(ndlog, dict):
@@ -103,6 +106,7 @@ class ReplayEngine:
             io_latency=h["io_latency"],
             engine=self.engine,
         )
+        self.engine = machine.engine
         machine._next_pid = int(h["pid"])
         process = machine.create_process(h["process_name"])
         config = config_from_dict(h["config"])

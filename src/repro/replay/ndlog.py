@@ -16,7 +16,7 @@ Version 1 layout (plain JSON, embedded under ``SnapFile.replay``)::
 
     {"format": "tb-ndlog/1",
      "header": {pid, process_name, machine, clock_skew, io_latency,
-                engine, runtime_id, config, modules, start_threads,
+                runtime_id, config, modules, start_threads,
                 rpc_services, loopback_seqs, dagbase},
      "events": [...],
      "n_events": N}

@@ -204,7 +204,6 @@ class ReplayRecorder(ProcessHooks):
             "machine": self.machine.name,
             "clock_skew": self.machine.clock_skew,
             "io_latency": self.machine.io_latency,
-            "engine": self.machine.engine,
             "runtime_id": self.runtime.runtime_id,
             "config": config_to_dict(self.runtime.config),
             "modules": self._modules,

@@ -666,11 +666,13 @@ class TraceBackRuntime(ProcessHooks):
             # The reproducibility seed rides every runtime-taken snap,
             # even without an ndlog: enough for `tbtrace info` to report
             # seed-only status, and for audits of the deterministic
-            # inputs (machine identity, pid-derived PRNG seed).
+            # inputs (machine identity, pid-derived PRNG seed).  The
+            # interpreter tier is not one: every tier runs the same
+            # program to the same evidence, so the content digest must
+            # not tell them apart.
             "seed": {
                 "machine": process.machine.name,
                 "clock_skew": process.machine.clock_skew,
-                "engine": process.machine.engine,
                 "pid": process.pid,
                 "rand_seed": 0x1234_5678 ^ process.pid,
                 "runtime_id": self.runtime_id,

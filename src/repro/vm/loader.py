@@ -42,17 +42,20 @@ class LoadedModule:
     import_bindings: list[int | Callable] = field(default_factory=list)
     #: Decoded-instruction cache, parallel to the code segment.
     decoded: list[Instr] = field(default_factory=list)
-    #: Predecoded handler table for the fast engine, parallel to
-    #: ``decoded`` (see :mod:`repro.vm.dispatch`).
+    #: Predecoded tier-2 handler table, parallel to ``decoded`` (see
+    #: :mod:`repro.vm.dispatch`): the terminators tier 3 does not inline.
     handlers: list[Handler] = field(default_factory=list)
     #: The owning process's memory; bound by the loader so predecoded
     #: handlers can capture ``load``/``store`` directly.
     memory: Memory | None = None
-    #: Tier-3 compiled-unit table (offset -> (count, closure)); built
-    #: lazily by the block engine on first execution, ``None`` until
-    #: then and again after every decode-cache refresh (see
-    #: :mod:`repro.vm.blocks`).
-    block_table: dict | None = None
+    #: What compiled units depend on — the code base and the code words
+    #: ``decoded`` was built from; the unit cache's key.
+    image_key: tuple | None = None
+    #: Tier-3 unit table parallel to ``decoded`` (see
+    #: :func:`repro.vm.blocks.bind_units`); bound lazily on first
+    #: execution, ``None`` until then and again after every decode-cache
+    #: refresh.
+    block_table: list | None = None
     unloaded: bool = False
 
     @property
@@ -80,13 +83,14 @@ class LoadedModule:
 
     def refresh_decode_cache(self) -> None:
         """Re-decode the (possibly rewritten) code segment and lower it
-        to the fast engine's predecoded handler table."""
-        code_seg = self.segments[0]
-        self.decoded = [decode(word) for word in code_seg.words]
+        to the predecoded handler table."""
+        words = tuple(self.segments[0].words)
+        self.decoded = [decode(word) for word in words]
+        self.image_key = (self.code_base, words)
         if self.memory is not None:
             self.handlers = build_handlers(self, self.memory)
-        # Compiled units capture the old handlers/immediates; drop them
-        # so the block engine recompiles from the fresh decode.
+        # Bound units capture the old handlers/immediates; drop them so
+        # the next run binds units compiled from the fresh decode.
         self.block_table = None
 
 

@@ -31,6 +31,7 @@ from typing import Callable
 
 from repro.isa.instructions import Op
 from repro.isa.module import Module
+from repro.vm.blocks import bind_units
 from repro.vm.dispatch import (
     ALU_I as _ALU_I,
     ALU_R as _ALU_R,
@@ -60,10 +61,11 @@ from repro.vm.thread import (
 WORD_MASK = 0xFFFFFFFF
 
 #: The execution engine tiers a Machine can run (see ``Machine.engine``).
-#: ``fast`` (the default) is tier-2 predecoded closure dispatch;
-#: ``block`` is the tier-3 block-compiled engine (:mod:`repro.vm.blocks`);
-#: ``reference`` is the tier-1 ``step()`` if/elif interpreter.
-ENGINES = ("fast", "block", "reference")
+#: ``block`` (the default) is the tier-3 block-compiled engine
+#: (:mod:`repro.vm.blocks`); ``reference`` is the tier-1 ``step()``
+#: if/elif interpreter, kept as the oracle the differential tests
+#: compare against.
+ENGINES = ("block", "reference")
 
 #: Environment variable overriding the default engine for new Machines.
 ENGINE_ENV_VAR = "TBVM_ENGINE"
@@ -291,15 +293,14 @@ class Process:
 class Machine:
     """One simulated computer: CPU, clock, processes.
 
-    ``engine`` selects the interpreter: ``"fast"`` (the default) runs the
-    predecoded closure-dispatch engine in :mod:`repro.vm.dispatch`;
-    ``"block"`` runs the tier-3 block-compiled engine in
-    :mod:`repro.vm.blocks` (fused basic-block closures, falling back to
-    fast dispatch at block exits and partial slices); ``"reference"``
-    runs the original ``step()`` if/elif interpreter.  All tiers are
-    bit-identical in architectural state, cycle counts, and trace
-    output (enforced by ``tests/vm/test_differential.py``); the upper
-    tiers exist purely for throughput.  The ``TBVM_ENGINE`` environment
+    ``engine`` selects the interpreter: ``"block"`` (the default) runs
+    the tier-3 block-compiled engine in :mod:`repro.vm.blocks` (fused
+    straight-line units, enterable at any instruction, with the tier-2
+    handlers of :mod:`repro.vm.dispatch` as terminators); ``"reference"``
+    runs the original ``step()`` if/elif interpreter, the oracle.  Both
+    tiers are bit-identical in architectural state, cycle counts, and
+    trace output (enforced by ``tests/vm/test_differential.py``); tier 3
+    exists purely for throughput.  The ``TBVM_ENGINE`` environment
     variable overrides the default for debugging; an unknown value
     raises :class:`~repro.vm.errors.EngineSelectionError`.
     """
@@ -399,23 +400,13 @@ class Machine:
             self._rr_index %= len(runnable)
             thread = runnable[self._rr_index]
             self._rr_index += 1
-            single = len(live) == 1
-            if single:
-                # Spawn epoch *before* the slice: any creation during it
-                # (thread_create, a new process, an RPC service thread
-                # in another process) bumps the counter and must send us
-                # back to the full scheduler.
-                epoch = self.spawn_epoch
-            hooks = self.slice_hooks
-            if hooks:
-                for hook in hooks:
-                    hook.slice_begin(thread)
-                self.run_thread_slice(thread, quantum)
-                for hook in hooks:
-                    hook.slice_end(thread)
-            else:
-                self.run_thread_slice(thread, quantum)
-            if not single:
+            # Spawn epoch *before* the slice: any creation during it
+            # (thread_create, a new process, an RPC service thread in
+            # another process) bumps the counter and must send us back
+            # to the full scheduler.
+            epoch = self.spawn_epoch
+            self._observed_slice(thread, quantum)
+            if len(live) != 1:
                 continue
             # Single-thread fast path: while this thread is the whole
             # machine (no other thread to wake, schedule, or prefer)
@@ -433,15 +424,16 @@ class Machine:
                 # What the full path's modulo arithmetic leaves behind
                 # for a single runnable thread.
                 self._rr_index = 1
-                hooks = self.slice_hooks
-                if hooks:
-                    for hook in hooks:
-                        hook.slice_begin(thread)
-                    self.run_thread_slice(thread, quantum)
-                    for hook in hooks:
-                        hook.slice_end(thread)
-                else:
-                    self.run_thread_slice(thread, quantum)
+                self._observed_slice(thread, quantum)
+
+    def _observed_slice(self, thread: Thread, quantum: int) -> None:
+        """One scheduler slice, with the slice hooks around it."""
+        hooks = self.slice_hooks
+        for hook in hooks:
+            hook.slice_begin(thread)
+        self.run_thread_slice(thread, quantum)
+        for hook in hooks:
+            hook.slice_end(thread)
 
     def run_thread_slice(self, thread: Thread, quantum: int) -> None:
         """Run up to ``quantum`` instructions of one thread."""
@@ -455,9 +447,6 @@ class Machine:
             self._deliver_signal(thread, process.pending_signals.pop(0))
             if not thread.runnable():
                 return
-        if self.engine == "fast":
-            self._run_slice_fast(thread, process, quantum)
-            return
         if self.engine == "block":
             self._run_slice_block(thread, process, quantum)
             return
@@ -466,72 +455,22 @@ class Machine:
                 return
             self.step(thread)
 
-    def _run_slice_fast(
-        self, thread: Thread, process: Process, quantum: int
-    ) -> None:
-        """The fast engine's hot loop: predecoded handler dispatch.
-
-        Mirrors ``step()`` exactly, but hoists the per-instruction work
-        the reference interpreter repeats every step: the module lookup
-        is cached while the pc stays inside one module's code range, and
-        the opcode cascade is gone — each code word was lowered to a
-        closure at load time (``loaded.handlers``).  The handler list is
-        re-read through the attribute on every iteration so a decode-
-        cache refresh (code rewriting) takes effect immediately, just as
-        it does for the reference engine's ``loaded.decoded`` reads.
-        """
-        loader = process.loader
-        loaded: LoadedModule | None = thread.code_hint
-        if loaded is not None and not loaded.unloaded:
-            code_base = loaded.code_base
-            code_end = loaded.code_end
-        else:
-            code_base = 1
-            code_end = 0
-        ready = ThreadState.READY
-        for _ in range(quantum):
-            if process.exit_state != ExitState.RUNNING or thread.state is not ready:
-                return
-            pc = thread.pc
-            if pc < code_base or pc >= code_end or loaded.unloaded:
-                loaded = loader.find_code(pc)
-                thread.code_hint = loaded
-                if loaded is None:
-                    self._fault(
-                        thread,
-                        VMFault(ExcCode.ACCESS_VIOLATION, pc,
-                                f"execute of unmapped {pc:#x}"),
-                    )
-                    code_base = 1
-                    code_end = 0
-                    continue
-                code_base = loaded.code_base
-                code_end = loaded.code_end
-            self.cycles += 1
-            process.cycles_used += 1
-            thread.instructions += 1
-            try:
-                loaded.handlers[pc - code_base](self, thread)
-            except VMFault as fault:
-                self._fault(thread, fault)
-
     def _run_slice_block(
         self, thread: Thread, process: Process, quantum: int
     ) -> None:
         """The tier-3 hot loop: compiled-unit dispatch.
 
-        Each iteration either executes one fused unit (when the pc sits
-        on a compiled entry *and* the unit fits the remaining quantum —
-        compiled units never straddle a slice boundary, so replay's
-        forced slices and ``chunk=1`` breakpoint stepping stay exact) or
-        falls back to one tier-2 handler step, bit-identical to
-        :meth:`_run_slice_fast`.  The block table is compiled lazily on
-        first execution and re-read through the attribute every
-        iteration, so a decode-cache refresh (code rewriting) drops and
-        rebuilds it just like the tier-2 handler list.
+        Each iteration runs one compiled unit from the pc on: the whole
+        unit when the pc is its first instruction and it fits the
+        remaining quantum, else a partial run from the pc's index in the
+        unit up to the unit's end or the quantum's, whichever comes
+        first.  So a slice retires exactly ``quantum`` instructions
+        (unless the thread blocks, ends or faults), and replay's forced
+        slices and ``chunk=1`` breakpoint stepping stay exact.  The unit
+        table covers every code word; it is bound lazily on first
+        execution and re-read through the attribute every iteration, so
+        a decode-cache refresh (code rewriting) takes effect immediately.
         """
-        from repro.vm.blocks import compile_blocks
-
         loader = process.loader
         loaded: LoadedModule | None = thread.code_hint
         if loaded is not None and not loaded.unloaded:
@@ -564,29 +503,24 @@ class Machine:
                 code_end = loaded.code_end
             table = loaded.block_table
             if table is None:
-                table = compile_blocks(loaded)
-                loaded.block_table = table
-            unit = table.get(pc - code_base)
-            if unit is not None:
-                n, fn = unit
-                if n <= remaining:
-                    before = thread.instructions
-                    try:
-                        fn(self, thread)
-                    except VMFault as fault:
-                        remaining -= thread.instructions - before
-                        self._fault(thread, fault)
-                        continue
-                    remaining -= n
-                    continue
-            self.cycles += 1
-            process.cycles_used += 1
-            thread.instructions += 1
+                table = bind_units(loaded)
+            offset = pc - code_base
+            start, count, whole, part = table[offset]
+            before = thread.instructions
             try:
-                loaded.handlers[pc - code_base](self, thread)
+                if offset == start and count <= remaining:
+                    whole(self, thread)
+                    remaining -= count
+                else:
+                    k = offset - start
+                    stop = k + remaining
+                    if stop > count:
+                        stop = count
+                    part(self, thread, k, stop)
+                    remaining -= stop - k
             except VMFault as fault:
+                remaining -= thread.instructions - before
                 self._fault(thread, fault)
-            remaining -= 1
 
     # ------------------------------------------------------------------
     # Signals
@@ -661,9 +595,10 @@ class Machine:
         """Execute one instruction of ``thread``.
 
         This is the **reference interpreter**: one if/elif dispatch per
-        instruction.  The fast engine (:mod:`repro.vm.dispatch`) must
-        stay bit-identical to it; change semantics here first, then
-        mirror them in the handler builder.
+        instruction.  The tier-2 handlers (:mod:`repro.vm.dispatch`) and
+        the tier-3 units (:mod:`repro.vm.blocks`) must stay bit-identical
+        to it; change semantics here first, then mirror them in both
+        code generators.
         """
         process = thread.process
         loaded = process.loader.find_code(thread.pc)

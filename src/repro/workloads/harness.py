@@ -62,8 +62,8 @@ def run_once(
 ) -> RunOutcome:
     """Execute one module to completion on a fresh machine.
 
-    ``engine`` selects the interpreter (``"fast"``/``"reference"``);
-    None uses the Machine default.
+    ``engine`` selects the interpreter tier (``"block"``/``"reference"``,
+    see :data:`repro.vm.ENGINES`); None uses the Machine default.
     """
     machine = Machine(engine=engine)
     process = machine.create_process("bench")

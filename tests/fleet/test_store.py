@@ -12,8 +12,13 @@ from repro.fleet.store import (
     VaultError,
     content_digest,
 )
+from repro import TraceSession
+from repro.runtime import RuntimeConfig, SnapPolicy
 from repro.runtime.archive import write_atomic
 from repro.runtime.snap import SnapFile
+from repro.runtime.sync import reset_runtime_ids
+from repro.vm import Machine
+from repro.workloads import random_crasher
 
 
 def make_snap(
@@ -77,6 +82,30 @@ def test_sharding_is_content_addressed(tmp_path):
 def test_bad_shard_count_rejected(tmp_path):
     with pytest.raises(VaultError):
         SnapVault(str(tmp_path), shards=0)
+
+
+def _recorded_crash(engine: str) -> SnapFile:
+    """One seeded crasher run to its fault with replay recording on."""
+    reset_runtime_ids()
+    session = TraceSession(
+        machine=Machine(engine=engine),
+        process_name="crasher",
+        runtime_config=RuntimeConfig(
+            policy=SnapPolicy.parse("snap on unhandled"),
+            record_replay=True,
+        ),
+    )
+    session.add_minic(random_crasher(3), name="rnd", file_name="rnd.c")
+    return session.run(max_cycles=30_000_000).snap
+
+
+def test_digest_independent_of_interpreter_tier():
+    """The tier that ran a crash is not evidence: the same run on either
+    tier is one vault entry, ndlog included."""
+    block = _recorded_crash("block")
+    reference = _recorded_crash("reference")
+    assert block.replayable == reference.replayable == "full"
+    assert content_digest(block) == content_digest(reference)
 
 
 def test_digest_stable_across_compression_level(tmp_path):

@@ -6,6 +6,8 @@ import pytest
 
 from repro.replay import ReplayDivergence, ReplayEngine, ReplayUnavailable
 from repro.runtime.snap import SnapFile
+from repro.vm import EngineSelectionError
+from repro.vm.machine import ENGINE_ENV_VAR
 
 
 def _fresh_snap(workqueue_run) -> SnapFile:
@@ -35,6 +37,29 @@ def test_replayed_snap_matches_the_recording(workqueue_run):
     assert replayed.reason == source.reason
     assert replayed.clock == source.clock
     assert len(replayed.threads) == len(source.threads)
+
+
+def test_replay_runs_on_machines_default_engine(workqueue_run, monkeypatch):
+    """No engine named: the replay honours ``TBVM_ENGINE`` like any
+    Machine."""
+    monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+    assert ReplayEngine(_fresh_snap(workqueue_run)).engine == "block"
+    monkeypatch.setenv(ENGINE_ENV_VAR, "reference")
+    engine = ReplayEngine(_fresh_snap(workqueue_run))
+    assert engine.engine == "reference"
+    assert engine.machine.engine == "reference"
+    stop = engine.run_to_fault()
+    assert stop["reason"] == "fault"
+    assert stop["fault"]["pc"] == workqueue_run.process.fault.pc
+
+
+def test_retired_fast_tier_is_refused(workqueue_run, monkeypatch):
+    monkeypatch.setenv(ENGINE_ENV_VAR, "fast")
+    with pytest.raises(EngineSelectionError) as excinfo:
+        ReplayEngine(_fresh_snap(workqueue_run))
+    message = str(excinfo.value)
+    assert "'fast'" in message
+    assert "block" in message and "reference" in message
 
 
 # ----------------------------------------------------------------------
