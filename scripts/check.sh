@@ -2,8 +2,8 @@
 # Repo check entry points.
 #
 #   scripts/check.sh test-fast   default lane: everything not marked slow
-#                                (the tier-1 gate; finishes in well under
-#                                a minute)
+#                                (the tier-1 gate: 1223 tests, 52-54 s,
+#                                54-55 s wall on a 2-core host)
 #   scripts/check.sh test-all    full lane: fast tests + slow tests +
 #                                every paper-table benchmark
 #   scripts/check.sh chaos       fault-injection suite: every chaos
@@ -53,15 +53,22 @@
 #                                guard
 #   scripts/check.sh perf        pipeline benchmark smoke: one traced
 #                                crash-triage run (1 s window, at least
-#                                four full-scale cycles) and one traced
+#                                four full-scale cycles), one traced
 #                                traced-kernels run (1 s window, two
-#                                passes over the five kernels); fails
-#                                unless both result lines read
-#                                correct: true — ground-truth bucket
-#                                signatures, chain incidents, the
-#                                faulting line shown; traced kernel
-#                                output equal to the bare run's and
-#                                repeatable cycle counts
+#                                passes over the five kernels) and one
+#                                traced replay-debug run (1 s window,
+#                                two record -> store -> open -> replay
+#                                cycles of the 3-thread crasher, the
+#                                only timed path with several guest
+#                                threads); fails unless all three
+#                                result lines read correct: true —
+#                                ground-truth bucket signatures, chain
+#                                incidents, the faulting line shown;
+#                                traced kernel output equal to the bare
+#                                run's and repeatable cycle counts; the
+#                                replay stopping at the fault with the
+#                                recorded signature and the recording
+#                                repeating
 #   scripts/check.sh bench       interpreter + fleet-ingest + fleet-GC +
 #                                federation + replay benchmarks; writes
 #                                BENCH_interpreter.json and
@@ -123,7 +130,7 @@ case "${1:-test-fast}" in
     exec python benchmarks/bench_interpreter.py --check
     ;;
   perf)
-    for workload in crash-triage traced-kernels; do
+    for workload in crash-triage traced-kernels replay-debug; do
       # The result object is the last line of standard output.
       result=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
         --seconds 1 --trace 1 | tail -n 1)

@@ -189,7 +189,7 @@ class ReplayEngine:
         if thread is None:
             raise ReplayDivergence(f"slice for unknown thread {tid}")
         self._force_cycles(start_cycle, f"slice tid={tid}")
-        self.machine._wake_sleepers()
+        self.machine.thread_lists()  # wakes the sleepers now due
         if not thread.runnable():
             raise ReplayDivergence(
                 f"recorded slice for thread {tid} but it is "

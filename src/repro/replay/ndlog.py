@@ -66,8 +66,8 @@ Scheduler slices are near-periodic (round-robin quanta, loop-heavy end
 pcs), so the delta/RLE columns are extremely low-entropy and the
 archive's deflate layer erases them almost entirely.  The encoder also
 **coalesces** adjacent slices of the same thread whose machine cycles
-are contiguous — the uncontended single-thread stretches the
-scheduler's ``spawn_epoch`` fast path produces — which is
+are contiguous — the stretches in which one thread is the only
+runnable one, so round-robin picks it slice after slice — which is
 replay-equivalent: cycle charging is deterministic per instruction, so
 replaying the merged run of instructions passes through exactly the
 recorded intermediate cycle values.  Rare events (signals, RPC legs,

@@ -177,7 +177,7 @@ class Process:
         self._next_tid += 1
         thread = Thread(tid, self, entry_pc, stack, arg=arg, name=name)
         self.threads[tid] = thread
-        self.machine.spawn_epoch += 1
+        self.machine.sched_epoch += 1
         return thread
 
     def register_rpc_service(self, service: int, func_name: str) -> None:
@@ -221,6 +221,7 @@ class Process:
             # but the kill itself is external nondeterminism.
             observer()
         self.exit_state = ExitState.KILLED
+        self.machine.sched_epoch += 1
         for thread in self.threads.values():
             if thread.alive():
                 thread.kill()
@@ -253,6 +254,7 @@ class Process:
         self._stop_threads()
 
     def _stop_threads(self) -> None:
+        self.machine.sched_epoch += 1
         for thread in self.threads.values():
             if thread.alive():
                 thread.state = ThreadState.DONE
@@ -327,9 +329,19 @@ class Machine:
         self.processes: list[Process] = []
         self._next_pid = 1
         self._rr_index = 0
-        #: Bumped on every process/thread creation anywhere on the
-        #: machine — the scheduler fast path's O(1) population guard.
-        self.spawn_epoch = 0
+        #: Bumped by every change that can alter which threads are live,
+        #: runnable, or waiting on the clock: thread and process
+        #: creation, and every thread state change (``Thread.block``/
+        #: ``unblock``/``finish``/``kill``, ``Process.kill``/
+        #: ``_stop_threads``).
+        self.sched_epoch = 0
+        # The scheduler's cached lists, built at epoch ``_sched_at``:
+        # live threads, runnable threads, and the earliest timed wake
+        # (None when no live thread waits on the clock).
+        self._sched_at = -1
+        self._live: list[Thread] = []
+        self._runnable: list[Thread] = []
+        self._next_wake: int | None = None
         #: Set by a Network to route RPC off-machine; None = local only.
         self.rpc_router: Callable[[RpcRequest], None] | None = None
         #: Observers with slice_begin/slice_end methods, called around
@@ -346,7 +358,7 @@ class Machine:
         process = Process(self, name, self._next_pid)
         self._next_pid += 1
         self.processes.append(process)
-        self.spawn_epoch += 1
+        self.sched_epoch += 1
         return process
 
     # ------------------------------------------------------------------
@@ -361,14 +373,41 @@ class Machine:
             if thread.alive()
         ]
 
-    def _wake_sleepers(self) -> None:
-        for thread in self._live_threads():
+    def thread_lists(self) -> tuple[list[Thread], list[Thread]]:
+        """The live and the runnable threads, after waking due sleepers.
+
+        Served from the cached lists while nothing has bumped
+        ``sched_epoch`` and no timed wake is due, so a slice costs O(1)
+        whatever the thread count; otherwise they are rebuilt first.
+        """
+        wake = self._next_wake
+        if self._sched_at != self.sched_epoch or (
+            wake is not None and wake <= self.cycles
+        ):
+            self._rebuild_thread_lists()
+        return self._live, self._runnable
+
+    def _rebuild_thread_lists(self) -> None:
+        """Unblock every live thread whose wake cycle has come, then
+        rebuild the cached lists at the current epoch."""
+        live = self._live = self._live_threads()
+        for thread in live:  # a woken thread stays live
             if (
                 thread.state is ThreadState.BLOCKED
                 and thread.wake_cycle is not None
                 and thread.wake_cycle <= self.cycles
             ):
                 thread.unblock()
+        self._runnable = [t for t in live if t.runnable()]
+        self._next_wake = min(
+            (
+                t.wake_cycle
+                for t in live
+                if t.state is ThreadState.BLOCKED and t.wake_cycle is not None
+            ),
+            default=None,
+        )
+        self._sched_at = self.sched_epoch
 
     def run(self, max_cycles: int | None = None, quantum: int = QUANTUM) -> str:
         """Run until completion, deadlock, or the cycle limit.
@@ -376,55 +415,34 @@ class Machine:
         Returns ``"done"`` (no live threads remain), ``"stalled"``
         (live threads exist but none can ever run — a hang/deadlock, the
         case the paper's external snap utility exists for), or
-        ``"limit"``.
+        ``"limit"``.  Threads take turns in round-robin order, one
+        ``quantum`` of instructions each; when every live thread is
+        blocked and some wait on the clock, the clock fast-forwards to
+        the earliest wake.  The thread lists are :meth:`thread_lists`'s
+        cached ones, so one thread or many, a slice costs the same.
         """
         while True:
             if max_cycles is not None and self.cycles >= max_cycles:
                 return "limit"
-            self._wake_sleepers()
-            live = self._live_threads()
-            if not live:
-                return "done"
-            runnable = [t for t in live if t.runnable()]
+            # thread_lists(), inlined: this runs once per slice.
+            wake = self._next_wake
+            if self._sched_at != self.sched_epoch or (
+                wake is not None and wake <= self.cycles
+            ):
+                self._rebuild_thread_lists()
+            runnable = self._runnable
             if not runnable:
-                timed = [
-                    t.wake_cycle
-                    for t in live
-                    if t.state is ThreadState.BLOCKED and t.wake_cycle is not None
-                ]
-                if timed:
+                if not self._live:
+                    return "done"
+                if self._next_wake is not None:
                     # Everything is waiting on the clock: fast-forward.
-                    self.cycles = max(self.cycles, min(timed))
+                    self.cycles = max(self.cycles, self._next_wake)
                     continue
                 return "stalled"
             self._rr_index %= len(runnable)
             thread = runnable[self._rr_index]
             self._rr_index += 1
-            # Spawn epoch *before* the slice: any creation during it
-            # (thread_create, a new process, an RPC service thread in
-            # another process) bumps the counter and must send us back
-            # to the full scheduler.
-            epoch = self.spawn_epoch
             self._observed_slice(thread, quantum)
-            if len(live) != 1:
-                continue
-            # Single-thread fast path: while this thread is the whole
-            # machine (no other thread to wake, schedule, or prefer)
-            # and stays runnable, re-slice without rebuilding the
-            # bookkeeping lists — the round-robin outcome is forced.
-            # Any change in the thread/process population falls back to
-            # the full scheduler.
-            process = thread.process
-            while (
-                process.exit_state == ExitState.RUNNING
-                and thread.runnable()
-                and self.spawn_epoch == epoch
-                and not (max_cycles is not None and self.cycles >= max_cycles)
-            ):
-                # What the full path's modulo arithmetic leaves behind
-                # for a single runnable thread.
-                self._rr_index = 1
-                self._observed_slice(thread, quantum)
 
     def _observed_slice(self, thread: Thread, quantum: int) -> None:
         """One scheduler slice, with the slice hooks around it."""
@@ -438,6 +456,9 @@ class Machine:
     def run_thread_slice(self, thread: Thread, quantum: int) -> None:
         """Run up to ``quantum`` instructions of one thread."""
         process = thread.process
+        memory = process.memory
+        if memory._cache_owner is not thread:
+            memory.switch_caches(thread)
         if not thread.started:
             thread.started = True
             process.hooks.thread_started(thread)

@@ -18,8 +18,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.vm.errors import ExcCode, VMError, VMFault
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.vm.thread import Thread
 
 WORD_MASK = 0xFFFFFFFF
 
@@ -95,10 +99,20 @@ class Memory:
         # skipping the bisect + permission check.  Safe because a
         # segment's base, size, backing list, and permissions never
         # change after construction; invalidated on map/unmap.
+        #
+        # The entries are per thread: they serve ``_cache_owner``, and
+        # ``switch_caches`` parks them on the outgoing thread at a slice
+        # start, so threads with their own stacks and trace buffers do
+        # not evict each other's segments on every switch.  A parked
+        # set is taken back only while ``generation`` (bumped by every
+        # map/unmap) still matches, so it never names an unmapped
+        # segment.
         self._read_hit: tuple[int, int, list[int] | None] = (1, 0, None)
         self._read_hit2: tuple[int, int, list[int] | None] = (1, 0, None)
         self._write_hit: tuple[int, int, list[int] | None] = (1, 0, None)
         self._write_hit2: tuple[int, int, list[int] | None] = (1, 0, None)
+        self._cache_owner: "Thread | None" = None
+        self.generation = 0
 
     # ------------------------------------------------------------------
     # Mapping
@@ -114,8 +128,7 @@ class Memory:
         idx = bisect_right(self._bases, segment.base)
         self._segments.insert(idx, segment)
         self._bases.insert(idx, segment.base)
-        self._read_hit = self._read_hit2 = (1, 0, None)
-        self._write_hit = self._write_hit2 = (1, 0, None)
+        self._invalidate_caches()
         return segment
 
     def unmap(self, segment: Segment) -> None:
@@ -123,8 +136,34 @@ class Memory:
         idx = self._segments.index(segment)
         del self._segments[idx]
         del self._bases[idx]
+        self._invalidate_caches()
+
+    def _invalidate_caches(self) -> None:
         self._read_hit = self._read_hit2 = (1, 0, None)
         self._write_hit = self._write_hit2 = (1, 0, None)
+        self.generation += 1
+
+    def switch_caches(self, thread: "Thread") -> None:
+        """Make the hit caches serve ``thread`` (called at a slice start
+        when they serve another thread).
+
+        The current owner keeps its entries, and ``thread`` gets its own
+        back if no map/unmap happened since it parked them, else keeps
+        the current ones (valid: they are always of the current
+        generation).
+        """
+        owner = self._cache_owner
+        if owner is not None:
+            owner.hit_caches = (
+                self.generation,
+                self._read_hit, self._read_hit2,
+                self._write_hit, self._write_hit2,
+            )
+        parked = thread.hit_caches
+        if parked is not None and parked[0] == self.generation:
+            (_, self._read_hit, self._read_hit2,
+             self._write_hit, self._write_hit2) = parked
+        self._cache_owner = thread
 
     def segment_at(self, addr: int) -> Segment | None:
         """The segment containing ``addr``, or ``None``."""

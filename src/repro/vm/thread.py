@@ -116,6 +116,9 @@ class Thread:
         #: Purely an optimization: stale values are caught by the pc
         #: range / ``unloaded`` checks.
         self.code_hint = None
+        #: This thread's saved memory hit-cache entries, kept while
+        #: another thread runs (see ``Memory.switch_caches``).
+        self.hit_caches: tuple | None = None
 
         # Initial stack: sp at the top of the stack segment; entry arg
         # in r0; returning from the entry function ends the thread.
@@ -144,11 +147,14 @@ class Thread:
         """Whether the thread has not terminated."""
         return self.state in (ThreadState.READY, ThreadState.BLOCKED)
 
+    # Every state change bumps the machine's scheduling epoch, so the
+    # scheduler's cached thread lists are rebuilt before the next slice.
     def block(self, reason: str, wake_cycle: int | None = None) -> None:
         """Move to BLOCKED, optionally with a timed wake-up."""
         self.state = ThreadState.BLOCKED
         self.block_reason = reason
         self.wake_cycle = wake_cycle
+        self.process.machine.sched_epoch += 1
 
     def unblock(self) -> None:
         """Return a blocked thread to the ready queue."""
@@ -156,15 +162,18 @@ class Thread:
             self.state = ThreadState.READY
             self.block_reason = None
             self.wake_cycle = None
+            self.process.machine.sched_epoch += 1
 
     def finish(self, code: int) -> None:
         """Normal thread termination."""
         self.state = ThreadState.DONE
         self.exit_code = code
+        self.process.machine.sched_epoch += 1
 
     def kill(self) -> None:
         """Abrupt termination: no cleanup, no hooks (SIGKILL semantics)."""
         self.state = ThreadState.KILLED
+        self.process.machine.sched_epoch += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
