@@ -2,8 +2,8 @@
 # Repo check entry points.
 #
 #   scripts/check.sh test-fast   default lane: everything not marked slow
-#                                (the tier-1 gate: 1223 tests, 52-54 s,
-#                                54-55 s wall on a 2-core host)
+#                                (the tier-1 gate: 1255 tests, 51-55 s,
+#                                52-56 s wall on a 2-core host)
 #   scripts/check.sh test-all    full lane: fast tests + slow tests +
 #                                every paper-table benchmark
 #   scripts/check.sh chaos       fault-injection suite: every chaos
@@ -29,10 +29,13 @@
 #   scripts/check.sh remote      remote-query + federation subsystem:
 #                                the wire-protocol/client tests, the
 #                                federated scatter-gather tests, the
-#                                seeded query-chaos fuzz sweep (120+
-#                                seeds), and the federation benchmark
-#                                (fan-out latency + one-slow-vault
-#                                overhead) merged into BENCH_fleet.json
+#                                vault CLI tests (local vs --remote
+#                                output parity, cross-vault incidents,
+#                                missing roots), the seeded query-chaos
+#                                fuzz sweep (120+ seeds), and the
+#                                federation benchmark (fan-out latency
+#                                + one-slow-vault overhead) merged into
+#                                BENCH_fleet.json
 #   scripts/check.sh replay      time-travel replay subsystem: the
 #                                ndlog/engine/CLI/vault-verify unit
 #                                tests, the full differential sweep
@@ -109,7 +112,7 @@ case "${1:-test-fast}" in
     ;;
   remote)
     python -m pytest -q tests/fleet/test_remote.py \
-      tests/fleet/test_federation.py \
+      tests/fleet/test_federation.py tests/fleet/test_cli_vaults.py \
       tests/fleet/test_federation_fuzz.py -m "slow or not slow"
     python benchmarks/bench_fleet_federation.py
     exec python benchmarks/bench_fleet_federation.py --check

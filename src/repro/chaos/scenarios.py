@@ -584,33 +584,29 @@ def _federated_result(
 ) -> ChaosResult:
     """Run the two-vault fleet, lose the west vault at query time via
     ``verdict``, gather the partial federated answer, and load the
-    surviving evidence through the remote clients (blob CRC path)."""
+    surviving evidence from the vaults that served it (blob CRC path)."""
     from repro.fleet.remote import RemoteQueryError
 
     vaults, session = build_federated_fleet()
-    federated, clients = serve_federation(vaults, session.network, rng=rng)
+    federated, _clients = serve_federation(vaults, session.network, rng=rng)
 
     def query_chaos(service, op, attempt):
         return verdict if service == FEDERATION_VICTIM else None
 
     session.network.query_chaos = query_chaos
     incidents, report = federated.incidents()
-    reachable = [
-        clients[status.name] for status in report.vaults if status.answered
-    ]
     snaps: list[SnapFile | None] = []
     salvage_notes: dict[str, list[str]] = {}
     for incident in incidents:
         for entry in incident.entries:
-            for client in reachable:
-                try:
-                    snap, notes = client.load(entry.digest, salvage=True)
-                except RemoteQueryError:
-                    continue  # not this region's snap
-                snaps.append(snap)
-                if notes:
-                    salvage_notes.setdefault(entry.machine, []).extend(notes)
-                break
+            # Each snap comes from the surviving vault that served it.
+            try:
+                snap, notes = federated.load(entry.digest, salvage=True)
+            except RemoteQueryError:
+                continue
+            snaps.append(snap)
+            if notes:
+                salvage_notes.setdefault(entry.machine, []).extend(notes)
     lost = ", ".join(report.degraded_vaults()) or "none"
     return ChaosResult(
         name=name,

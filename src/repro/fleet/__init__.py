@@ -17,7 +17,8 @@ Five layers turn per-session snaps into durable, queryable evidence:
   time, queries read a precomputed partition;
 * :mod:`repro.fleet.query` — filters, lazy reconstruction, and
   incident grouping (group-snap fan-outs and SYNC-linked snaps),
-  O(result) through the index;
+  O(result) through the index; :class:`VaultSource` is the query
+  surface every local, remote and federated view serves;
 * :mod:`repro.fleet.metrics` — the ingest/dedupe/retry/store counters
   the CLI surfaces;
 * :mod:`repro.fleet.retention` — declarative retention policies and
@@ -31,15 +32,15 @@ Five layers turn per-session snaps into durable, queryable evidence:
   precision/recall metric the chaos ground-truth harness scores the
   signature function with;
 * :mod:`repro.fleet.remote` — the versioned vault query protocol
-  (CRC-framed, paginated) and the :class:`RemoteVaultClient` that
-  mirrors ``VaultQuery`` over the simulated network with per-request
-  deadlines and seeded retry-with-backoff;
-* :mod:`repro.fleet.federation` — scatter-gather over N regional
-  vaults with per-vault timeouts: incident partitions merge across
-  vaults through their SYNC links, triage buckets merge under
-  min-signature union, and every answer carries a
-  :class:`FederationReport` coverage ladder (full → partial →
-  degraded) instead of erroring on a lost vault.
+  (CRC-framed, paginated, every reply item type-checked) and the
+  :class:`RemoteVaultClient` source over the simulated network, with
+  per-request deadlines and seeded retry-with-backoff;
+* :mod:`repro.fleet.federation` — scatter-gather over any mix of
+  local and remote sources (one source passes through unchanged):
+  incident partitions merge across vaults through their SYNC links,
+  triage buckets merge under min-signature union, and every answer
+  carries a :class:`FederationReport` coverage ladder (full → partial
+  → degraded) instead of erroring on a lost vault.
 """
 
 from repro.fleet.collector import Collector, PendingUpload, backoff_with_jitter
@@ -53,7 +54,7 @@ from repro.fleet.federation import (
 )
 from repro.fleet.index import IncidentIndex, batch_group
 from repro.fleet.metrics import FleetMetrics
-from repro.fleet.query import Incident, VaultQuery
+from repro.fleet.query import Incident, VaultQuery, VaultSource
 from repro.fleet.remote import (
     ProtocolError,
     RemoteQueryError,
@@ -109,6 +110,7 @@ __all__ = [
     "VaultError",
     "VaultQuery",
     "VaultService",
+    "VaultSource",
     "VaultStatus",
     "VaultTimeout",
     "VaultUnavailable",

@@ -5,11 +5,16 @@ One fleet, many vaults: each region's collectors drain into their own
 evidence is split across stores that share no manifest.  This module
 asks all of them and merges what comes back:
 
-* :class:`FederatedQuery` scatters one query across N
-  :class:`~repro.fleet.remote.RemoteVaultClient`\\ s with a per-vault
-  cycle budget, gathers the pages each vault managed to serve, and
+* :class:`FederatedQuery` scatters one query across any mix of vault
+  sources (:class:`~repro.fleet.query.VaultSource`: an open vault's
+  :class:`~repro.fleet.query.VaultQuery`, or a
+  :class:`~repro.fleet.remote.RemoteVaultClient` with a per-vault cycle
+  budget), gathers the pages each vault managed to serve, and
   **never raises on a lost vault** — degradation is data, not an
   exception, exactly the stance salvage reconstruction established;
+* a federation of one source returns that source's answer unchanged,
+  so ``tbtrace`` runs every vault command through here and a single
+  vault still prints exactly what the vault says;
 * incident partitions merge by re-running the union-find link rules
   over the union of fetched entries.  Every rule (group-snap fan-outs,
   initiator matching, shared SYNC logical ids) is a pure function of
@@ -18,7 +23,10 @@ asks all of them and merges what comes back:
   appear exactly as they would had every snap landed in one merged
   vault;
 * triage buckets merge under min-signature union over the merged
-  incidents, the same bucket key rule the incident index maintains;
+  incidents, the same bucket key rule the incident index maintains,
+  into :class:`~repro.fleet.triage.CrashBucket`\\ s without seqs;
+* a merged incident reconstructs by loading each snap from the vault
+  that served it (:meth:`FederatedQuery.load`);
 * every answer carries a :class:`FederationReport` whose **coverage
   ladder** mirrors the salvage degradation ladder: ``full`` (every
   vault answered completely) → ``partial`` (at least one vault
@@ -39,7 +47,7 @@ from dataclasses import dataclass, field
 
 from repro.fleet.index import batch_group
 from repro.fleet.metrics import FleetMetrics
-from repro.fleet.query import Incident
+from repro.fleet.query import Incident, VaultSource
 from repro.fleet.remote import (
     RemoteQueryError,
     RemoteVaultClient,
@@ -47,7 +55,10 @@ from repro.fleet.remote import (
     VaultUnavailable,
 )
 from repro.fleet.store import VaultEntry
+from repro.fleet.triage import CrashBucket
+from repro.instrument.mapfile import Mapfile
 from repro.reconstruct.signature import signature_key
+from repro.runtime.snap import SnapFile
 
 #: The coverage ladder, best to worst.
 COVERAGE_FULL = "full"
@@ -114,6 +125,10 @@ class FederationReport:
         }
 
 
+#: How a lost vault is named; any other wire failure is an "error".
+_LOSSES = {VaultTimeout: "timeout", VaultUnavailable: "unavailable"}
+
+
 def _coverage(statuses: list[VaultStatus]) -> str:
     if statuses and all(v.status == "ok" for v in statuses):
         return COVERAGE_FULL
@@ -125,21 +140,6 @@ def _coverage(statuses: list[VaultStatus]) -> str:
 # ----------------------------------------------------------------------
 # Merging
 # ----------------------------------------------------------------------
-def _dedupe_entries(per_vault: dict[str, list[VaultEntry]]) -> list[VaultEntry]:
-    """The union of per-vault entries, one per content digest.
-
-    Content digests are vault-independent (sha256 of the snap's
-    canonical form), so the same snap uploaded to two regions
-    collapses to one entry; vault-relative metadata (seq, shard) is
-    taken from whichever vault answered first.
-    """
-    merged: dict[str, VaultEntry] = {}
-    for entries in per_vault.values():
-        for entry in entries:
-            merged.setdefault(entry.digest, entry)
-    return sorted(merged.values(), key=lambda e: e.digest)
-
-
 def merge_incidents(entries: list[VaultEntry]) -> list[Incident]:
     """Merge per-vault partitions: union-find over the entry union.
 
@@ -168,14 +168,14 @@ def merge_incidents(entries: list[VaultEntry]) -> list[Incident]:
 
 def merge_buckets(
     incidents: list[Incident], limit: int | None = None
-) -> list[dict]:
+) -> list[CrashBucket]:
     """Triage buckets under min-signature union over merged incidents.
 
     The bucket key is the minimum member signature — the same
     order-free rule the incident index applies per vault, so two
     vaults' buckets for one fault land in one federated bucket.
-    Vault-relative seqs don't survive federation: there are no
-    first/last seq fields, and the exemplar is the smallest
+    Vault-relative seqs don't survive federation: the buckets carry
+    no first/last seq, and the exemplar is the smallest
     signature-carrying digest (canonical, not earliest-ingest).
     """
     grouped: dict[str, list[Incident]] = {}
@@ -188,19 +188,17 @@ def merge_buckets(
     for sig, members in grouped.items():
         entries = [e for inc in members for e in inc.entries]
         buckets.append(
-            {
-                "key": signature_key(sig),
-                "sig": sig,
-                "count": len(entries),
-                "incidents": len(members),
-                "machines": sorted({e.machine for e in entries}),
-                "processes": sorted({e.process for e in entries}),
-                "exemplar": min(
-                    e.digest for e in entries if e.sig is not None
-                ),
-            }
+            CrashBucket(
+                sig=sig,
+                key=signature_key(sig),
+                count=len(entries),
+                incidents=len(members),
+                machines=sorted({e.machine for e in entries}),
+                processes=sorted({e.process for e in entries}),
+                exemplar=min(e.digest for e in entries if e.sig is not None),
+            )
         )
-    buckets.sort(key=lambda b: (-b["count"], b["sig"]))
+    buckets.sort(key=lambda b: (-b.count, b.sig))
     if limit is not None:
         buckets = buckets[:limit]
     return buckets
@@ -243,26 +241,13 @@ def canonical_incidents(incidents: list[Incident]) -> list[dict]:
     return docs
 
 
-def canonical_buckets(buckets: list) -> list[dict]:
-    """Bucket docs without seq/exemplar fields, rank-ordered.
-
-    Accepts :class:`~repro.fleet.triage.CrashBucket` objects or the
-    dicts :func:`merge_buckets` builds, so a local ``VaultQuery.top``
-    and a federated ``top`` canonicalize through the same door.
-    """
-    docs = []
-    for bucket in buckets:
-        doc = bucket.to_dict() if hasattr(bucket, "to_dict") else dict(bucket)
-        docs.append(
-            {
-                "key": doc["key"],
-                "sig": doc["sig"],
-                "count": doc["count"],
-                "incidents": doc["incidents"],
-                "machines": doc["machines"],
-                "processes": doc["processes"],
-            }
-        )
+def canonical_buckets(buckets: list[CrashBucket]) -> list[dict]:
+    """Bucket docs without seq/exemplar fields, rank-ordered."""
+    vault_relative = ("first_seq", "last_seq", "exemplar")
+    docs = [
+        {k: v for k, v in b.to_dict().items() if k not in vault_relative}
+        for b in buckets
+    ]
     docs.sort(key=lambda d: (-d["count"], d["sig"]))
     return docs
 
@@ -270,74 +255,86 @@ def canonical_buckets(buckets: list) -> list[dict]:
 # ----------------------------------------------------------------------
 # The scatter-gather engine
 # ----------------------------------------------------------------------
-class FederatedQuery:
+class FederatedQuery(VaultSource):
     """Fan one query out to N vaults; merge; degrade instead of erroring.
 
-    ``clients`` maps vault name → :class:`RemoteVaultClient`; scatter
-    order is the mapping order.  ``timeout`` is the per-vault cycle
-    budget for pagination (each client's own ``deadline`` bounds the
-    individual wire exchanges beneath it).  Every public method returns
-    ``(results, FederationReport)`` and is total: a lost vault becomes
-    a named rung on the coverage ladder, never an exception.
+    ``sources`` maps vault name → :class:`~repro.fleet.query.VaultSource`,
+    local or remote in any mix; scatter order is the mapping order.
+    ``timeout`` is the per-vault cycle budget for a wire source's
+    pagination (each client's ``deadline`` bounds single exchanges).
+    Every list method returns ``(results, FederationReport)`` and is
+    total: a lost vault becomes a named rung on the coverage ladder,
+    never an exception.  One source's answer passes through unchanged.
     """
 
     def __init__(
         self,
-        clients: dict[str, RemoteVaultClient],
+        sources: dict[str, VaultSource],
         timeout: int = 200_000,
         metrics: FleetMetrics | None = None,
     ):
-        self.clients = dict(clients)
+        self.sources = dict(sources)
         self.timeout = timeout
         self.metrics = metrics or FleetMetrics()
+        #: digest -> the vault whose answer carried it first, last time.
+        self._served_by: dict[str, str] = {}
 
     # ------------------------------------------------------------------
-    def _scatter(self, fetch) -> tuple[dict[str, list], FederationReport]:
-        """Run ``fetch(client)`` per vault; losses become statuses."""
+    def _gather(self, source: VaultSource, op: str, **args):
+        """``op`` on one source -> ``(items, truncated)``."""
+        if isinstance(source, RemoteVaultClient):
+            args.update(budget=self.timeout, partial=True)
+            return getattr(source, op)(**args)
+        return getattr(source, op)(**args), False
+
+    def _scatter(self, op: str, **args) -> tuple[dict, FederationReport]:
+        """Run ``op`` on every vault; losses become statuses."""
         self.metrics.bump(federated_queries=1)
         gathered: dict[str, list] = {}
         statuses: list[VaultStatus] = []
-        for name, client in self.clients.items():
+        for name, source in self.sources.items():
             try:
-                items, truncated = fetch(client)
-            except VaultTimeout as exc:
-                statuses.append(VaultStatus(name, "timeout", str(exc)))
-                self.metrics.bump(federated_vault_losses=1)
-                continue
-            except VaultUnavailable as exc:
-                statuses.append(VaultStatus(name, "unavailable", str(exc)))
-                self.metrics.bump(federated_vault_losses=1)
-                continue
+                items, truncated = self._gather(source, op, **args)
             except RemoteQueryError as exc:
-                statuses.append(VaultStatus(name, "error", str(exc)))
+                status = _LOSSES.get(type(exc), "error")
+                statuses.append(VaultStatus(name, status, str(exc)))
                 self.metrics.bump(federated_vault_losses=1)
                 continue
             gathered[name] = items
+            status, detail = "ok", ""
             if truncated:
-                statuses.append(
-                    VaultStatus(
-                        name,
-                        "truncated",
-                        f"pagination budget exhausted after "
-                        f"{len(items)} item(s)",
-                        items=len(items),
-                    )
+                status = "truncated"
+                detail = (
+                    f"pagination budget exhausted after {len(items)} item(s)"
                 )
-            else:
-                statuses.append(VaultStatus(name, "ok", items=len(items)))
+            statuses.append(VaultStatus(name, status, detail, len(items)))
         return gathered, FederationReport(
             coverage=_coverage(statuses), vaults=statuses
         )
 
+    def _answer(self, op: str, merge, **args) -> tuple[list, FederationReport]:
+        """Scatter ``op``; merge the answers of more than one vault."""
+        gathered, report = self._scatter(op, **args)
+        if len(self.sources) == 1:
+            return next(iter(gathered.values()), []), report
+        return merge(gathered), report
+
+    def _union(self, per_vault: dict[str, list]) -> list[VaultEntry]:
+        """The union of per-vault entries, one per content digest (a
+        vault-independent sha256).  The first vault to answer with a
+        digest supplies its seq/shard and is where :meth:`load` goes."""
+        merged: dict[str, VaultEntry] = {}
+        for name, entries in per_vault.items():
+            for entry in entries:
+                if entry.digest not in merged:
+                    merged[entry.digest] = entry
+                    self._served_by[entry.digest] = name
+        return sorted(merged.values(), key=lambda e: e.digest)
+
     # ------------------------------------------------------------------
     def select(self, **filters) -> tuple[list[VaultEntry], FederationReport]:
         """The union of matching entries, digest-ordered and deduped."""
-        gathered, report = self._scatter(
-            lambda client: client.select(
-                budget=self.timeout, partial=True, **filters
-            )
-        )
-        return _dedupe_entries(gathered), report
+        return self._answer("select", self._union, **filters)
 
     def incidents(self, **filters) -> tuple[list[Incident], FederationReport]:
         """The federation-wide incident partition over reachable vaults.
@@ -347,20 +344,40 @@ class FederatedQuery:
         whose *only* matching snaps live in a lost vault are part of
         the coverage loss the report names.
         """
-        gathered, report = self._scatter(
-            lambda client: client.incidents(
-                budget=self.timeout, partial=True, **filters
-            )
-        )
-        per_vault = {
-            name: [e for incident in incidents for e in incident.entries]
-            for name, incidents in gathered.items()
-        }
-        return merge_incidents(_dedupe_entries(per_vault)), report
+
+        def merge(gathered: dict[str, list[Incident]]) -> list[Incident]:
+            members = {
+                name: [e for incident in incidents for e in incident.entries]
+                for name, incidents in gathered.items()
+            }
+            return merge_incidents(self._union(members))
+
+        return self._answer("incidents", merge, **filters)
 
     def top(
         self, limit: int | None = None
-    ) -> tuple[list[dict], FederationReport]:
+    ) -> tuple[list[CrashBucket], FederationReport]:
         """Fleet-wide top crashers under min-signature union."""
+        if len(self.sources) == 1:
+            return self._answer("top", None, limit=limit)
         incidents, report = self.incidents()
         return merge_buckets(incidents, limit=limit), report
+
+    # ------------------------------------------------------------------
+    def load(
+        self, digest: str, salvage: bool = False
+    ) -> tuple[SnapFile | None, list[str]]:
+        """Load a snap from the vault that served it (else the first)."""
+        name = self._served_by.get(digest, next(iter(self.sources)))
+        return self.sources[name].load(digest, salvage=salvage)
+
+    def mapfiles(self) -> list[Mapfile]:
+        """The serving vaults' mapfiles (else every vault's), one per
+        checksum."""
+        serving = set(self._served_by.values()) or set(self.sources)
+        unique: dict[str, Mapfile] = {}
+        for name, source in self.sources.items():
+            if name in serving:
+                for mapfile in source.mapfiles():
+                    unique.setdefault(mapfile.checksum, mapfile)
+        return list(unique.values())

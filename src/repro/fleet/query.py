@@ -37,6 +37,7 @@ from repro.fleet.metrics import FleetMetrics
 from repro.fleet.store import SnapVault, VaultEntry
 from repro.instrument.mapfile import Mapfile
 from repro.reconstruct import DistributedTrace, ProcessTrace, Reconstructor
+from repro.runtime.snap import SnapFile
 
 #: Sentinel for "use whatever window the vault's persisted index was
 #: built with" — distinct from an explicit ``window=None`` (unbounded).
@@ -107,26 +108,17 @@ class Incident:
         }
 
 
-class VaultQuery:
-    """Filter, lazily reconstruct, and group a vault's snaps."""
+class VaultSource:
+    """A source of vault evidence, with reconstruction written once.
 
-    def __init__(self, vault: SnapVault, metrics: FleetMetrics | None = None):
-        self.vault = vault
-        self.metrics = metrics or vault.metrics
+    Sources answer ``select`` / ``incidents`` / ``top`` with lists of
+    :class:`~repro.fleet.store.VaultEntry`, :class:`Incident` and
+    :class:`~repro.fleet.triage.CrashBucket`, and provide ``load``,
+    ``mapfiles`` and ``metrics``: :class:`VaultQuery` over an open
+    vault, :class:`~repro.fleet.remote.RemoteVaultClient` over the
+    wire, :class:`~repro.fleet.federation.FederatedQuery` over both.
+    """
 
-    # ------------------------------------------------------------------
-    # Filtering
-    # ------------------------------------------------------------------
-    def select(self, **filters) -> list[VaultEntry]:
-        """Manifest entries matching the filters (see SnapVault.select)."""
-        self.metrics.queries += 1
-        entries = self.vault.select(**filters)
-        self.metrics.entries_scanned += len(self.vault.index)
-        return entries
-
-    # ------------------------------------------------------------------
-    # Lazy reconstruction
-    # ------------------------------------------------------------------
     def reconstruct_entry(
         self,
         entry: VaultEntry | str,
@@ -135,16 +127,16 @@ class VaultQuery:
     ) -> tuple[ProcessTrace, list[str]]:
         """Load and reconstruct one stored snap on demand.
 
-        ``mapfiles`` defaults to the vault's stored mapfiles.  Returns
+        ``mapfiles`` defaults to the source's stored mapfiles.  Returns
         ``(trace, archive_notes)``; strict mode raises on damage.
         """
         digest = entry if isinstance(entry, str) else entry.digest
-        snap, notes = self.vault.load(digest, salvage=salvage)
+        snap, notes = self.load(digest, salvage=salvage)
         if snap is None:
             raise ValueError(
                 f"snap {digest} unrecoverable: {'; '.join(notes) or 'gone'}"
             )
-        reconstructor = Reconstructor(mapfiles or self.vault.mapfiles())
+        reconstructor = Reconstructor(mapfiles or self.mapfiles())
         self.metrics.reconstructions += 1
         return reconstructor.reconstruct(snap, strict=not salvage), notes
 
@@ -162,11 +154,11 @@ class VaultQuery:
         snaps = []
         salvage_notes: dict[str, list[str]] = {}
         for entry in incident.entries:
-            snap, notes = self.vault.load(entry.digest, salvage=salvage)
+            snap, notes = self.load(entry.digest, salvage=salvage)
             snaps.append(snap)
             if notes:
                 salvage_notes.setdefault(entry.machine, []).extend(notes)
-        reconstructor = Reconstructor(mapfiles or self.vault.mapfiles())
+        reconstructor = Reconstructor(mapfiles or self.mapfiles())
         self.metrics.reconstructions += len(incident.entries)
         return reconstructor.reconstruct_distributed(
             snaps,
@@ -174,6 +166,32 @@ class VaultQuery:
             expected_machines=incident.machines,
             salvage_notes=salvage_notes,
         )
+
+
+class VaultQuery(VaultSource):
+    """Filter, lazily reconstruct, and group a vault's snaps."""
+
+    def __init__(self, vault: SnapVault, metrics: FleetMetrics | None = None):
+        self.vault = vault
+        self.metrics = metrics or vault.metrics
+
+    # ------------------------------------------------------------------
+    # Filtering
+    # ------------------------------------------------------------------
+    def select(self, **filters) -> list[VaultEntry]:
+        """Manifest entries matching the filters (see SnapVault.select)."""
+        self.metrics.queries += 1
+        entries = self.vault.select(**filters)
+        self.metrics.entries_scanned += len(self.vault.index)
+        return entries
+
+    def load(
+        self, digest: str, salvage: bool = False
+    ) -> tuple[SnapFile | None, list[str]]:
+        return self.vault.load(digest, salvage=salvage)
+
+    def mapfiles(self) -> list[Mapfile]:
+        return self.vault.mapfiles()
 
     # ------------------------------------------------------------------
     # Incident grouping

@@ -14,9 +14,11 @@ locally.  This module is the wire between them:
   behind an unbounded reply.  Manifest entries travel as metadata;
   TBSZ2 blobs are fetched lazily, one digest at a time, and CRC-checked
   again on arrival.
-* :class:`RemoteVaultClient` — mirrors the
-  :class:`~repro.fleet.query.VaultQuery` surface over that protocol,
-  with a per-attempt cycle deadline and bounded seeded
+* :class:`RemoteVaultClient` — the vault source surface
+  (:class:`~repro.fleet.query.VaultSource`) over that protocol.  Every
+  list item is type-checked before use (a CRC-clean reply can still be
+  malformed) and pagination must advance, else :class:`ProtocolError`.
+  Each exchange has a per-attempt cycle deadline and bounded seeded
   retry-with-backoff (the collector's backoff discipline,
   :func:`~repro.fleet.collector.backoff_with_jitter`).  All waiting is
   accounted in *simulated* cycles, so a query is bounded by
@@ -43,11 +45,10 @@ from typing import TYPE_CHECKING
 
 from repro.fleet.collector import backoff_with_jitter
 from repro.fleet.metrics import FleetMetrics
-from repro.fleet.query import Incident, VaultQuery
-from repro.fleet.store import SnapVault, VaultEntry
+from repro.fleet.query import Incident, VaultQuery, VaultSource
+from repro.fleet.store import ENTRY_FIELD_TYPES, SnapVault, VaultEntry
 from repro.fleet.triage import CrashBucket
 from repro.instrument.mapfile import Mapfile
-from repro.reconstruct import DistributedTrace, ProcessTrace, Reconstructor
 from repro.runtime.archive import decompress_snap, salvage_decompress
 from repro.runtime.snap import SnapFile
 
@@ -60,6 +61,9 @@ PROTOCOL = "tb-vault-query/1"
 
 #: Default server-side page bound for list responses.
 DEFAULT_PAGE_LIMIT = 64
+
+#: Default per-attempt deadline of one exchange, in simulated cycles.
+DEFAULT_DEADLINE = 20_000
 
 
 class RemoteQueryError(Exception):
@@ -100,6 +104,86 @@ def decode_frame(data: bytes) -> dict:
     if not isinstance(payload, str) or zlib.crc32(payload.encode()) != crc:
         raise ProtocolError("frame body failed CRC check")
     return json.loads(payload)
+
+
+# ----------------------------------------------------------------------
+# List items: type-checked before use
+# ----------------------------------------------------------------------
+_OPTIONAL_STR = (str, type(None))
+_OPTIONAL_INT = (int, type(None))
+
+#: Wire shape of the incident doc in an ``incidents`` item and of a
+#: ``top`` bucket doc: each field's allowed JSON types.  Entries are
+#: checked against the manifest's own
+#: :data:`~repro.fleet.store.ENTRY_FIELD_TYPES`.
+INCIDENT_FIELD_TYPES = {
+    "incident_id": (int,),
+    "snaps": (int,),
+    "initiator": _OPTIONAL_STR,
+    **dict.fromkeys(
+        ("machines", "processes", "reasons", "groups", "links", "entries"),
+        (list,),
+    ),
+}
+BUCKET_FIELD_TYPES = {
+    "key": (str,),
+    "sig": (str,),
+    "count": (int,),
+    "incidents": (int,),
+    "first_seq": _OPTIONAL_INT,
+    "last_seq": _OPTIONAL_INT,
+    "exemplar": _OPTIONAL_STR,
+    **dict.fromkeys(("machines", "processes"), (list,)),
+}
+
+
+def _well_formed(doc, types: dict, item_type: type = str) -> bool:
+    """``doc`` holds exactly ``types``' fields, each of an allowed type,
+    and its lists hold only ``item_type`` values."""
+    if type(doc) is not dict or doc.keys() != types.keys():
+        return False
+    for name, allowed in types.items():
+        kind = type(doc[name])
+        if kind not in allowed:
+            return False
+        if kind is list:
+            for item in doc[name]:
+                if type(item) is not item_type:
+                    return False
+    return True
+
+
+def _entry(doc) -> VaultEntry | None:
+    typed = _well_formed(doc, ENTRY_FIELD_TYPES, item_type=int)
+    return VaultEntry(**doc) if typed else None
+
+
+def _incident(doc) -> Incident | None:
+    if not (
+        type(doc) is dict
+        and doc.keys() == {"incident", "entries"}
+        and _well_formed(doc["incident"], INCIDENT_FIELD_TYPES)
+        and type(doc["entries"]) is list
+    ):
+        return None
+    entries = [_entry(d) for d in doc["entries"]]
+    if any(entry is None for entry in entries):
+        return None
+    meta = doc["incident"]
+    return Incident(meta["incident_id"], entries, set(meta["links"]))
+
+
+def _bucket(doc) -> CrashBucket | None:
+    typed = _well_formed(doc, BUCKET_FIELD_TYPES)
+    return CrashBucket(**doc) if typed else None
+
+
+#: List op -> (reply key, item parser: None when the doc is malformed).
+_LIST_ITEMS = {
+    "select": ("entries", _entry),
+    "incidents": ("incidents", _incident),
+    "top": ("buckets", _bucket),
+}
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +299,9 @@ class VaultService:
     def _op_incidents(self, args: dict) -> dict:
         filters = {
             k: args[k]
-            for k in ("machine", "process", "reason", "group", "sync_id")
+            for k in (
+                "machine", "process", "reason", "group", "sync_id", "window"
+            )
             if args.get(k) is not None
         }
         incidents = self.query.incidents(**filters)
@@ -257,8 +343,8 @@ class VaultService:
 # ----------------------------------------------------------------------
 # Client side
 # ----------------------------------------------------------------------
-class RemoteVaultClient:
-    """The :class:`~repro.fleet.query.VaultQuery` surface over the wire.
+class RemoteVaultClient(VaultSource):
+    """The vault source surface over the wire.
 
     Every exchange has a per-attempt ``deadline`` in simulated cycles:
     a dropped, delayed, or unanswered request costs the full deadline,
@@ -270,8 +356,8 @@ class RemoteVaultClient:
     ``(items, truncated)`` and tolerates a mid-pagination timeout or
     ``budget`` exhaustion by returning the pages already fetched —
     that is what federation builds its coverage ladder on.  The plain
-    form mirrors ``VaultQuery`` exactly and never returns silently
-    truncated results.
+    form answers exactly as ``VaultQuery`` does and never returns
+    silently truncated results.
     """
 
     def __init__(
@@ -279,7 +365,7 @@ class RemoteVaultClient:
         network: "Network",
         service: str = "vault",
         machine: "Machine | None" = None,
-        deadline: int = 20_000,
+        deadline: int = DEFAULT_DEADLINE,
         max_retries: int = 4,
         backoff_base: int = 500,
         backoff_max: int = 8_000,
@@ -374,21 +460,18 @@ class RemoteVaultClient:
             self._charge(backoff)
             self.metrics.bump(remote_retries=1, remote_backoff_cycles=backoff)
 
-    def _paged(
-        self,
-        op: str,
-        args: dict,
-        key: str,
-        budget: int | None,
-        partial: bool,
-    ) -> tuple[list, bool]:
-        """Fetch every page of a list op -> ``(items, truncated)``.
+    def _paged(self, op: str, args: dict, budget: int | None, partial: bool):
+        """Fetch and parse every page of a list op.
 
-        With ``partial=True``, a pagination budget (cycles) or a
-        mid-pagination timeout ends the fetch with what arrived so far
-        and ``truncated=True``; without it, every failure propagates
-        and the result is always complete.
+        With ``partial=True`` the answer is ``(items, truncated)``: a
+        pagination budget (cycles) or a mid-pagination timeout ends the
+        fetch with what arrived so far and ``truncated=True``; without
+        it, every failure propagates and the items are always complete.
+        A malformed item, or a page that does not advance (``next`` not
+        past the current offset, or an empty page before the last), is a
+        :class:`ProtocolError`.
         """
+        key, parse = _LIST_ITEMS[op]
         items: list = []
         offset: int | None = 0
         start = self.cycles_spent
@@ -407,13 +490,30 @@ class RemoteVaultClient:
                     return items, True
                 raise
             self.metrics.bump(remote_pages=1)
-            page = result.get(key)
-            items.extend(page if isinstance(page, list) else [])
-            offset = result.get("next")
-        return items, False
+            page, after = result.get(key), result.get("next")
+            where = f"{op} on {self.service!r}: page at offset {offset}"
+            if not isinstance(page, list):
+                raise ProtocolError(f"{where} is not a list")
+            if after is not None and (
+                type(after) is not int or after <= offset or not page
+            ):
+                raise ProtocolError(
+                    f"{where} does not advance "
+                    f"(next {after!r} after {len(page)} item(s))"
+                )
+            for doc in page:
+                item = parse(doc)
+                if item is None:
+                    raise ProtocolError(
+                        f"{op} on {self.service!r}: "
+                        f"item {len(items)} malformed"
+                    )
+                items.append(item)
+            offset = after
+        return (items, False) if partial else items
 
     # ------------------------------------------------------------------
-    # The VaultQuery mirror
+    # The source surface
     # ------------------------------------------------------------------
     def hello(self) -> dict:
         """Server identity and stats (protocol smoke check)."""
@@ -421,25 +521,11 @@ class RemoteVaultClient:
 
     def select(self, budget: int | None = None, partial: bool = False, **filters):
         """Manifest entries matching the filters (see SnapVault.select)."""
-        docs, truncated = self._paged("select", filters, "entries", budget, partial)
-        entries = [VaultEntry.from_dict(d) for d in docs]
-        return (entries, truncated) if partial else entries
+        return self._paged("select", filters, budget, partial)
 
     def incidents(self, budget: int | None = None, partial: bool = False, **filters):
         """The vault's incident partition, reassembled from the wire."""
-        docs, truncated = self._paged(
-            "incidents", filters, "incidents", budget, partial
-        )
-        incidents = []
-        for doc in docs:
-            incidents.append(
-                Incident(
-                    incident_id=doc["incident"]["incident_id"],
-                    entries=[VaultEntry.from_dict(d) for d in doc["entries"]],
-                    links=set(doc["incident"]["links"]),
-                )
-            )
-        return (incidents, truncated) if partial else incidents
+        return self._paged("incidents", filters, budget, partial)
 
     def top(
         self,
@@ -448,11 +534,7 @@ class RemoteVaultClient:
         partial: bool = False,
     ):
         """Ranked crash buckets, served by the remote vault."""
-        docs, truncated = self._paged(
-            "top", {"limit": limit}, "buckets", budget, partial
-        )
-        buckets = [CrashBucket(**doc) for doc in docs]
-        return (buckets, truncated) if partial else buckets
+        return self._paged("top", {"limit": limit}, budget, partial)
 
     # ------------------------------------------------------------------
     # Lazy evidence fetch
@@ -488,34 +570,3 @@ class RemoteVaultClient:
                 loaded.append(Mapfile.from_dict(doc["mapfile"]))
             self._mapfile_cache = loaded
         return list(self._mapfile_cache)
-
-    def reconstruct_entry(
-        self, entry: VaultEntry | str, salvage: bool = False
-    ) -> tuple[ProcessTrace, list[str]]:
-        """Reconstruct one remote snap (mirrors VaultQuery)."""
-        digest = entry if isinstance(entry, str) else entry.digest
-        snap, notes = self.load(digest, salvage=salvage)
-        if snap is None:
-            raise ValueError(
-                f"snap {digest} unrecoverable: {'; '.join(notes) or 'gone'}"
-            )
-        reconstructor = Reconstructor(self.mapfiles())
-        return reconstructor.reconstruct(snap, strict=not salvage), notes
-
-    def reconstruct_incident(
-        self, incident: Incident, salvage: bool = True
-    ) -> DistributedTrace:
-        """Stitch one incident's remote snaps into a master trace."""
-        snaps = []
-        salvage_notes: dict[str, list[str]] = {}
-        for entry in incident.entries:
-            snap, notes = self.load(entry.digest, salvage=salvage)
-            snaps.append(snap)
-            if notes:
-                salvage_notes.setdefault(entry.machine, []).extend(notes)
-        return Reconstructor(self.mapfiles()).reconstruct_distributed(
-            snaps,
-            strict=not salvage,
-            expected_machines=incident.machines,
-            salvage_notes=salvage_notes,
-        )

@@ -54,8 +54,10 @@ class CrashBucket:
     count: int
     #: Distinct incidents collapsed into this bucket.
     incidents: int
-    first_seq: int
-    last_seq: int
+    #: Ingest seqs it was first/last seen at; None in a bucket merged
+    #: across vaults, whose seqs do not compare.
+    first_seq: int | None = None
+    last_seq: int | None = None
     machines: list[str] = field(default_factory=list)
     processes: list[str] = field(default_factory=list)
     #: Exemplar digest (earliest signature-carrying snap), pinned
@@ -64,11 +66,12 @@ class CrashBucket:
 
     def describe(self) -> str:
         """One line for ``tbtrace top`` listings."""
+        seqs = f"seqs {self.first_seq}..{self.last_seq}  "
         return (
             f"[{self.key}] {self.count} snap(s) / "
             f"{self.incidents} incident(s)  "
             f"machines {','.join(self.machines)}  "
-            f"seqs {self.first_seq}..{self.last_seq}  {self.sig}"
+            f"{seqs if self.first_seq is not None else ''}{self.sig}"
         )
 
     def to_dict(self) -> dict:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro.analysis import build_all_cfgs
@@ -208,73 +209,90 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0 if not info["problems"] else 1
 
 
-def _open_vault(args: argparse.Namespace):
-    from repro.fleet import SnapVault, VaultQuery
-
-    vault = SnapVault(_vault_roots(args)[0])
-    return vault, VaultQuery(vault)
+class CommandError(Exception):
+    """A one-line diagnosis: :func:`main` prints it and exits 1."""
 
 
-def _vault_roots(args: argparse.Namespace) -> list[str]:
-    """``--vault`` values as a list (the flag is repeatable)."""
-    roots = args.vault
-    return roots if isinstance(roots, list) else [roots]
-
-
-def _check_wire_flags(args: argparse.Namespace) -> str | None:
-    """Validate --remote/--federate/--vault combinations."""
-    roots = _vault_roots(args)
-    if args.remote and args.federate:
-        return "--remote and --federate are mutually exclusive"
-    if len(roots) > 1 and not args.federate:
-        return "multiple --vault roots require --federate"
-    if args.timeout is not None and not (args.remote or args.federate):
-        return "--timeout only applies with --remote or --federate"
-    return None
-
-
-def _remote_clients(args: argparse.Namespace) -> dict:
-    """Serve each ``--vault`` root in-process and return name -> client.
-
-    The wire is the simulated network: every query goes through the
-    versioned protocol (CRC frames, pagination, deadlines) exactly as a
-    cross-region query would, just without a socket under it.
-    """
-    import os
-
-    from repro.distributed.network import Network
+def _open_vaults(roots: list[str]) -> list:
+    """Open existing vaults.  Only ``collect`` creates one: any other
+    command names every root that is not an existing directory."""
     from repro.fleet import SnapVault
-    from repro.fleet.remote import RemoteVaultClient, VaultService
 
+    missing = [root for root in roots if not os.path.isdir(root)]
+    if missing:
+        raise CommandError(
+            f"no vault at {', '.join(missing)} (not an existing directory)"
+        )
+    vaults = []
+    for root in roots:
+        try:
+            vaults.append(SnapVault(root))
+        except (OSError, ValueError) as exc:
+            raise CommandError(f"cannot open vault {root}: {exc}") from exc
+    return vaults
+
+
+def _federation(args: argparse.Namespace):
+    """One :class:`~repro.fleet.FederatedQuery` over every ``--vault``
+    root, each queried in place or, with ``--remote``, served over the
+    simulated wire (the full protocol, just without a socket under it).
+    One root is a federation of one, whose answers are the vault's own.
+    """
+    from repro.distributed.network import Network
+    from repro.fleet import FederatedQuery, RemoteVaultClient, VaultQuery
+    from repro.fleet.remote import DEFAULT_DEADLINE, VaultService
+
+    if args.timeout is not None and not args.remote:
+        raise CommandError("--timeout only applies with --remote")
     network = Network()
-    clients: dict = {}
-    for root in _vault_roots(args):
-        base = os.path.basename(os.path.normpath(root)) or "vault"
-        name, n = base, 1
-        while name in clients:
-            n += 1
-            name = f"{base}-{n}"
-        network.register_vault_service(VaultService(SnapVault(root), name=name))
-        deadline = args.timeout if args.remote and args.timeout else 20_000
-        clients[name] = RemoteVaultClient(network, service=name, deadline=deadline)
-    return clients
+    sources: dict = {}
+    for root, vault in zip(args.vault, _open_vaults(args.vault)):
+        if not args.remote:
+            sources[root] = VaultQuery(vault)
+            continue
+        network.register_vault_service(VaultService(vault, name=root))
+        sources[root] = RemoteVaultClient(
+            network, service=root, deadline=args.timeout or DEFAULT_DEADLINE
+        )
+    return FederatedQuery(sources)
 
 
-def _federated(args: argparse.Namespace):
-    from repro.fleet import FederatedQuery
+def _ask(federation, op: str, **args):
+    """One federated query -> ``(items, report)``; an answer no vault
+    served is an error, not an empty listing."""
+    from repro.fleet.federation import COVERAGE_DEGRADED
 
-    return FederatedQuery(
-        _remote_clients(args), timeout=args.timeout or 200_000
-    )
+    items, report = getattr(federation, op)(**args)
+    if report.coverage == COVERAGE_DEGRADED:
+        raise CommandError(
+            "no vault answered: "
+            + "; ".join(status.describe() for status in report.vaults)
+        )
+    return items, report
 
 
-def _print_coverage(report, as_json: bool) -> None:
-    """Per-vault coverage, as a trailing JSON line or indented text."""
+def _print_coverage(federation, report, as_json: bool) -> None:
+    """Per-vault coverage after the answer — unless one vault answered
+    in full, when the answer is simply that vault's."""
+    from repro.fleet.federation import COVERAGE_FULL
+
+    if len(federation.sources) == 1 and report.coverage == COVERAGE_FULL:
+        return
     if as_json:
         print(json.dumps({"federation": report.to_dict()}, sort_keys=True))
     else:
-        for line in report.describe():
-            print(line)
+        print("\n".join(report.describe()))
+
+
+def _resolve(federation, prefix: str):
+    """The one stored snap whose digest starts with ``prefix``."""
+    entries, _report = _ask(federation, "select")
+    matches = [e for e in entries if e.digest.startswith(prefix)]
+    if not matches:
+        raise CommandError(f"no stored snap matches digest {prefix!r}")
+    if len(matches) > 1:
+        raise CommandError(f"digest prefix {prefix!r} is ambiguous")
+    return matches[0]
 
 
 def cmd_collect(args: argparse.Namespace) -> int:
@@ -331,68 +349,17 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    """``tbtrace query``: filter the vault; --show reconstructs one."""
-    from repro.runtime import ArchiveError
+    """``tbtrace query``: filter the vaults; --show reconstructs one."""
+    from repro.fleet.remote import RemoteQueryError
 
-    problem = _check_wire_flags(args)
-    if problem:
-        return _fail(problem)
-    filters = dict(
-        machine=args.machine,
-        process=args.process,
-        reason=args.reason,
-        since=args.since,
-        until=args.until,
-        group=args.group,
-    )
-    if args.remote or args.federate:
-        from repro.fleet.remote import RemoteQueryError
-
-        if args.show:
-            return _fail("--show needs a local vault (wire queries list only)")
-        try:
-            clients = _remote_clients(args)
-        except (OSError, ValueError) as exc:
-            return _fail(f"cannot open vault: {exc}")
-        if args.federate:
-            entries, report = _federated(args).select(**filters)
-        else:
-            try:
-                entries = next(iter(clients.values())).select(**filters)
-            except RemoteQueryError as exc:
-                return _fail(str(exc))
-            report = None
-        if args.json:
-            for entry in entries:
-                print(json.dumps(entry.to_dict(), sort_keys=True))
-        else:
-            print(f"{len(entries)} snap(s) match")
-            for entry in entries:
-                print(
-                    f"  {entry.digest[:12]}  {entry.machine}/{entry.process}"
-                    f"  {entry.reason}  clock {entry.clock}  {entry.size}B"
-                )
-        if report is not None:
-            _print_coverage(report, args.json)
-        return 0
-    try:
-        vault, query = _open_vault(args)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot open vault {_vault_roots(args)[0]}: {exc}")
+    federation = _federation(args)
     if args.show:
-        matches = [
-            e for e in vault.index.values() if e.digest.startswith(args.show)
-        ]
-        if not matches:
-            return _fail(f"no stored snap matches digest {args.show!r}")
-        if len(matches) > 1:
-            return _fail(f"digest prefix {args.show!r} is ambiguous")
-        entry = matches[0]
+        entry = _resolve(federation, args.show)
         try:
-            trace, notes = query.reconstruct_entry(
+            trace, notes = federation.reconstruct_entry(
                 entry, salvage=args.salvage
             )
-        except (RecoveryError, ArchiveError, ValueError, OSError) as exc:
+        except (RemoteQueryError, ValueError, OSError) as exc:
             return _fail(
                 f"reconstruction failed: {exc} (re-run with --salvage "
                 "to recover what survives)"
@@ -406,7 +373,9 @@ def cmd_query(args: argparse.Namespace) -> int:
         print()
         print(select_view(trace))
         return 0
-    entries = query.select(
+    entries, report = _ask(
+        federation,
+        "select",
         machine=args.machine,
         process=args.process,
         reason=args.reason,
@@ -417,96 +386,38 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.json:
         for entry in entries:
             print(json.dumps(entry.to_dict(), sort_keys=True))
-        return 0
-    print(f"{len(entries)} snap(s) match")
-    for entry in entries:
-        tags = []
-        if entry.group:
-            tags.append(f"group={entry.group} initiator={entry.initiator}")
-        if entry.sync_ids:
-            tags.append(f"{len(entry.sync_ids)} sync id(s)")
-        print(
-            f"  {entry.digest[:12]}  seq {entry.seq}  {entry.machine}/"
-            f"{entry.process}  {entry.reason}  clock {entry.clock}  "
-            f"{entry.size}B  {' '.join(tags)}"
-        )
+    else:
+        print(f"{len(entries)} snap(s) match")
+        for entry in entries:
+            tags = []
+            if entry.group:
+                tags.append(f"group={entry.group} initiator={entry.initiator}")
+            if entry.sync_ids:
+                tags.append(f"{len(entry.sync_ids)} sync id(s)")
+            print(
+                f"  {entry.digest[:12]}  seq {entry.seq}  {entry.machine}/"
+                f"{entry.process}  {entry.reason}  clock {entry.clock}  "
+                f"{entry.size}B  {' '.join(tags)}"
+            )
+    _print_coverage(federation, report, args.json)
     return 0
 
 
 def cmd_incidents(args: argparse.Namespace) -> int:
-    """``tbtrace incidents``: group the vault's snaps and reconstruct."""
-    problem = _check_wire_flags(args)
-    if problem:
-        return _fail(problem)
-    if args.remote or args.federate:
-        from repro.fleet.remote import RemoteQueryError
+    """``tbtrace incidents``: group the vaults' snaps and reconstruct."""
+    from repro.fleet.remote import RemoteQueryError
 
-        if args.window is not None:
-            return _fail("--window needs a local vault")
-        try:
-            clients = _remote_clients(args)
-        except (OSError, ValueError) as exc:
-            return _fail(f"cannot open vault: {exc}")
-        report = None
-        if args.federate:
-            incidents, report = _federated(args).incidents()
-        else:
-            try:
-                incidents = next(iter(clients.values())).incidents()
-            except RemoteQueryError as exc:
-                return _fail(str(exc))
-        if args.json:
-            for incident in incidents:
-                print(json.dumps(incident.to_dict(), sort_keys=True))
-            if report is not None:
-                _print_coverage(report, as_json=True)
-            return 0
-        where = (
-            f"{len(clients)} federated vault(s)"
-            if args.federate
-            else f"remote vault {next(iter(clients))!r}"
-        )
-        print(f"{len(incidents)} incident(s) in {where}")
-        for incident in incidents:
-            print(incident.describe())
-            for entry in incident.entries:
-                print(
-                    f"    {entry.digest[:12]}  {entry.machine}/"
-                    f"{entry.process}  {entry.reason}"
-                )
-            if args.list or args.federate:
-                # Federated entries span vaults; evidence fetch is a
-                # per-vault operation — listing only.
-                continue
-            client = next(iter(clients.values()))
-            try:
-                trace = client.reconstruct_incident(
-                    incident, salvage=not args.strict
-                )
-            except (RecoveryError, RemoteQueryError, ValueError) as exc:
-                print(f"    reconstruction failed: {exc}")
-                continue
-            if trace.degradation is not None and trace.degradation.degraded:
-                print(render_degradation(trace.degradation))
-            print(render_distributed(trace))
-        if report is not None:
-            _print_coverage(report, as_json=False)
-        return 0
-    try:
-        vault, query = _open_vault(args)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot open vault {_vault_roots(args)[0]}: {exc}")
-    if args.window is None:
-        # No explicit window: serve straight from the persisted
-        # incident index (O(result), built at ingest).
-        incidents = query.incidents()
-    else:
-        incidents = query.incidents(window=args.window)
+    federation = _federation(args)
+    if args.window is not None and len(federation.sources) > 1:
+        raise CommandError("--window needs one vault: seqs are per vault")
+    window = {} if args.window is None else {"window": args.window}
+    incidents, report = _ask(federation, "incidents", **window)
     if args.json:
         for incident in incidents:
             print(json.dumps(incident.to_dict(), sort_keys=True))
+        _print_coverage(federation, report, as_json=True)
         return 0
-    print(f"{len(incidents)} incident(s) in {vault.root}")
+    print(f"{len(incidents)} incident(s) in {', '.join(federation.sources)}")
     for incident in incidents:
         print(incident.describe())
         for entry in incident.entries:
@@ -517,80 +428,37 @@ def cmd_incidents(args: argparse.Namespace) -> int:
         if args.list:
             continue
         try:
-            trace = query.reconstruct_incident(
+            trace = federation.reconstruct_incident(
                 incident, salvage=not args.strict
             )
-        except (RecoveryError, ValueError) as exc:
+        except (RemoteQueryError, ValueError, OSError) as exc:
             print(f"    reconstruction failed: {exc}")
             continue
         if trace.degradation is not None and trace.degradation.degraded:
             print(render_degradation(trace.degradation))
         print(render_distributed(trace))
+    _print_coverage(federation, report, as_json=False)
     return 0
 
 
 def cmd_top(args: argparse.Namespace) -> int:
     """``tbtrace top``: ranked crash buckets — the fleet's top crashers."""
-    problem = _check_wire_flags(args)
-    if problem:
-        return _fail(problem)
-    if args.remote or args.federate:
-        from repro.fleet.remote import RemoteQueryError
-
-        try:
-            clients = _remote_clients(args)
-        except (OSError, ValueError) as exc:
-            return _fail(f"cannot open vault: {exc}")
-        if args.federate:
-            buckets, report = _federated(args).top(limit=args.limit)
-            if args.json:
-                for bucket in buckets:
-                    print(json.dumps(bucket, sort_keys=True))
-                _print_coverage(report, as_json=True)
-                return 0
-            print(
-                f"{len(buckets)} crash bucket(s) across "
-                f"{len(clients)} federated vault(s)"
-            )
-            for rank, bucket in enumerate(buckets, start=1):
-                print(
-                    f"  #{rank} [{bucket['key']}] {bucket['count']} snap(s) "
-                    f"in {bucket['incidents']} incident(s) on "
-                    f"{len(bucket['machines'])} machine(s): {bucket['sig']}"
-                )
-            _print_coverage(report, as_json=False)
-            return 0
-        try:
-            buckets = next(iter(clients.values())).top(limit=args.limit)
-        except RemoteQueryError as exc:
-            return _fail(str(exc))
-        if args.json:
-            for bucket in buckets:
-                print(json.dumps(bucket.to_dict(), sort_keys=True))
-            return 0
-        print(
-            f"{len(buckets)} crash bucket(s) in remote vault "
-            f"{next(iter(clients))!r}"
-        )
-        for rank, bucket in enumerate(buckets, start=1):
-            print(f"  #{rank} {bucket.describe()}")
-        return 0
-    try:
-        vault, query = _open_vault(args)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot open vault {_vault_roots(args)[0]}: {exc}")
-    buckets = query.top(limit=args.limit)
+    federation = _federation(args)
+    buckets, report = _ask(federation, "top", limit=args.limit)
     if args.json:
         for bucket in buckets:
             print(json.dumps(bucket.to_dict(), sort_keys=True))
+        _print_coverage(federation, report, as_json=True)
         return 0
-    fault_snaps = sum(1 for e in vault.index.values() if e.sig is not None)
+    entries, _report = _ask(federation, "select")
+    bucketed = sum(1 for e in entries if e.sig is not None)
     print(
-        f"{len(buckets)} crash bucket(s) in {vault.root} "
-        f"({fault_snaps}/{len(vault)} snap(s) bucketed)"
+        f"{len(buckets)} crash bucket(s) in {', '.join(federation.sources)} "
+        f"({bucketed}/{len(entries)} snap(s) bucketed)"
     )
     for rank, bucket in enumerate(buckets, start=1):
         print(f"  #{rank} {bucket.describe()}")
+    _print_coverage(federation, report, as_json=False)
     return 0
 
 
@@ -603,7 +471,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     exchange through CRC-checked frames and the summary is printed.
     """
     from repro.distributed.network import Network
-    from repro.fleet import SnapVault
     from repro.fleet.remote import (
         PROTOCOL,
         RemoteQueryError,
@@ -611,10 +478,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         VaultService,
     )
 
-    try:
-        vault = SnapVault(args.vault)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot open vault {args.vault}: {exc}")
+    (vault,) = _open_vaults([args.vault])
     network = Network()
     server = VaultService(vault, name=args.name, page_limit=args.page_limit)
     network.register_vault_service(server)
@@ -640,18 +504,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """``tbtrace report``: the full triage report (text/JSON/HTML)."""
+    from repro.fleet import VaultQuery
     from repro.fleet.triage import (
         build_report,
         render_report_html,
         render_report_text,
     )
 
-    try:
-        _vault, query = _open_vault(args)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot open vault {args.vault}: {exc}")
+    (vault,) = _open_vaults([args.vault])
     report = build_report(
-        query,
+        VaultQuery(vault),
         limit=args.limit,
         exemplar_lines=args.exemplar_lines,
         verify=args.verify,
@@ -676,41 +538,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     else:
         print(text)
     return 0
-
-
-def _replay_resolve(args: argparse.Namespace):
-    """Resolve a digest prefix to ``(digest, snap)`` — local or remote."""
-    if args.remote:
-        from repro.fleet.remote import RemoteQueryError
-
-        try:
-            clients = _remote_clients(args)
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"cannot open vault: {exc}") from exc
-        client = next(iter(clients.values()))
-        try:
-            entries = client.select()
-        except RemoteQueryError as exc:
-            raise ValueError(str(exc)) from exc
-        matches = [e for e in entries if e.digest.startswith(args.digest)]
-        loader = client.load
-    else:
-        from repro.fleet import SnapVault
-
-        vault = SnapVault(_vault_roots(args)[0])
-        matches = [
-            e for e in vault.index.values() if e.digest.startswith(args.digest)
-        ]
-        loader = vault.load
-    if not matches:
-        raise ValueError(f"no stored snap matches digest {args.digest!r}")
-    if len(matches) > 1:
-        raise ValueError(f"digest prefix {args.digest!r} is ambiguous")
-    digest = matches[0].digest
-    snap, _notes = loader(digest, salvage=True)
-    if snap is None:
-        raise ValueError(f"snap {digest[:12]} unrecoverable")
-    return digest, snap
 
 
 def _replay_frame_line(frame: dict) -> str:
@@ -822,13 +649,18 @@ def _replay_interactive(engine) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """``tbtrace replay <digest>``: time-travel debug a stored snap."""
+    from repro.fleet.remote import RemoteQueryError
     from repro.replay import ReplayDivergence, ReplayUnavailable
     from repro.replay.engine import ReplayEngine
 
+    federation = _federation(args)
+    digest = _resolve(federation, args.digest).digest
     try:
-        digest, snap = _replay_resolve(args)
-    except (OSError, ValueError, ArchiveError) as exc:
-        return _fail(str(exc))
+        snap, _notes = federation.load(digest, salvage=True)
+    except (OSError, ValueError, RemoteQueryError) as exc:
+        return _fail(f"cannot load {digest[:12]}: {exc}")
+    if snap is None:
+        return _fail(f"snap {digest[:12]} unrecoverable")
     print(
         f"replaying {digest[:12]}: {snap.reason} in {snap.process_name} "
         f"on {snap.machine_name} (replayable: {snap.replayable})"
@@ -875,10 +707,7 @@ def cmd_gc(args: argparse.Namespace) -> int:
     """
     from repro.fleet.retention import RetentionError, RetentionPolicy
 
-    try:
-        vault, _query = _open_vault(args)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot open vault {args.vault}: {exc}")
+    (vault,) = _open_vaults([args.vault])
     try:
         policy = RetentionPolicy(
             max_age=args.max_age,
@@ -932,8 +761,6 @@ def cmd_tile(args: argparse.Namespace) -> int:
 
 
 def cmd_dagbase(args: argparse.Namespace) -> int:
-    import os
-
     from repro.instrument import DagBaseFile
 
     sizes: dict[str, int] = {}
@@ -1020,29 +847,25 @@ def build_parser() -> argparse.ArgumentParser:
     collect.add_argument("--queue-limit", type=int, default=8)
     collect.set_defaults(fn=cmd_collect)
 
-    def add_wire_flags(cmd: argparse.ArgumentParser) -> None:
+    def add_vault_flags(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument(
-            "--remote", action="store_true",
-            help="query through the vault wire protocol instead of "
-            "opening the store directly",
+            "--vault", required=True, action="append",
+            help="vault root directory; repeat to query several vaults "
+            "as one federation (lost vaults degrade the answer instead "
+            "of failing it)",
         )
         cmd.add_argument(
-            "--federate", action="store_true",
-            help="scatter-gather across every --vault root and merge; "
-            "lost vaults degrade the answer instead of failing it",
+            "--remote", action="store_true",
+            help="serve each vault over the wire protocol and query "
+            "through it instead of opening the store directly",
         )
         cmd.add_argument(
             "--timeout", type=int,
-            help="cycles: per-request deadline (--remote) or per-vault "
-            "budget (--federate)",
+            help="cycles: deadline of each wire request (--remote)",
         )
 
     query = sub.add_parser("query", help="filter stored snaps in a vault")
-    query.add_argument(
-        "--vault", required=True, action="append",
-        help="vault root directory (repeat with --federate)",
-    )
-    add_wire_flags(query)
+    add_vault_flags(query)
     query.add_argument("--machine")
     query.add_argument("--process")
     query.add_argument("--reason")
@@ -1063,11 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
     incidents = sub.add_parser(
         "incidents", help="group a vault's snaps into incidents"
     )
-    incidents.add_argument(
-        "--vault", required=True, action="append",
-        help="vault root directory (repeat with --federate)",
-    )
-    add_wire_flags(incidents)
+    add_vault_flags(incidents)
     incidents.add_argument(
         "--window", type=int,
         help="only link snaps within this many ingest sequence numbers",
@@ -1088,11 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = sub.add_parser(
         "top", help="rank a vault's crash buckets (top crashers)"
     )
-    top.add_argument(
-        "--vault", required=True, action="append",
-        help="vault root directory (repeat with --federate)",
-    )
-    add_wire_flags(top)
+    add_vault_flags(top)
     top.add_argument(
         "--limit", type=int, help="show at most this many buckets"
     )
@@ -1122,14 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "digest", help="content digest prefix of the stored snap"
     )
-    replay.add_argument("--vault", required=True, help="vault root directory")
-    replay.add_argument(
-        "--remote", action="store_true",
-        help="fetch the snap blob through the vault wire protocol",
-    )
-    replay.add_argument(
-        "--timeout", type=int, help="cycles: per-request deadline (--remote)"
-    )
+    add_vault_flags(replay)
     replay.add_argument(
         "--break", dest="breakpoints", action="append", default=[],
         type=lambda s: int(s, 0), metavar="PC",
@@ -1236,11 +1044,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except CommandError as exc:
+        return _fail(str(exc))
     except BrokenPipeError:
         # `tbtrace query ... | head` closes our stdout mid-print; die
         # quietly like other Unix tools instead of dumping a traceback.
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
 

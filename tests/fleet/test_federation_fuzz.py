@@ -122,7 +122,7 @@ def run_seed(roots, truth, seed):
     assert digests <= truth["digests"], seed
     for incident in incidents:
         assert {e.digest for e in incident.entries} <= truth["digests"]
-    assert sum(b["count"] for b in buckets) <= len(truth["digests"])
+    assert sum(b.count for b in buckets) <= len(truth["digests"])
 
     # Bounded simulated time: no hang, ever.
     for name, client in clients.items():

@@ -9,12 +9,13 @@ transit fault into a typed, bounded failure, never a hang.
 
 import json
 import random
+import re
 
 import pytest
 
 from repro.chaos.scenarios import build_vault_run
 from repro.distributed.network import Network
-from repro.fleet import SnapVault, VaultQuery
+from repro.fleet import FederatedQuery, SnapVault, VaultQuery
 from repro.fleet.remote import (
     PROTOCOL,
     ProtocolError,
@@ -316,3 +317,102 @@ def test_partial_mid_pagination_timeout_returns_prefix(vault):
     client2_network.query_chaos = chaos
     with pytest.raises(VaultTimeout):
         client2.select()
+
+
+# ----------------------------------------------------------------------
+# Replies that pass the CRC but break the shape are refused, typed
+# ----------------------------------------------------------------------
+class RewritingService(VaultService):
+    """A server whose successful replies pass through ``rewrite``."""
+
+    def __init__(self, vault, rewrite):
+        super().__init__(vault)
+        self.rewrite = rewrite
+
+    def handle(self, request):
+        response = super().handle(request)
+        if response["ok"]:
+            self.rewrite(response["result"])
+        return response
+
+
+def _drop_clock(result):
+    del result["entries"][0]["clock"]
+
+
+def _late_clock(result):
+    result["entries"][0]["clock"] = "late"
+
+
+def _garbage_page(result):
+    result["entries"] = "garbage"
+
+
+def _extra_bucket_key(result):
+    result["buckets"][0]["extra"] = 1
+
+
+@pytest.mark.parametrize(
+    "op,rewrite,named",
+    [
+        ("select", _drop_clock, "select on 'vault': item 0 malformed"),
+        ("select", _late_clock, "select on 'vault': item 0 malformed"),
+        ("select", _garbage_page, "page at offset 0 is not a list"),
+        ("top", _extra_bucket_key, "top on 'vault': item 0 malformed"),
+    ],
+    ids=["missing-clock", "wrong-typed-clock", "garbage-page", "extra-key"],
+)
+def test_malformed_items_are_protocol_errors(vault, op, rewrite, named):
+    network = Network()
+    network.register_vault_service(RewritingService(vault, rewrite))
+    client = RemoteVaultClient(network, service="vault")
+    with pytest.raises(ProtocolError, match=re.escape(named)):
+        getattr(client, op)()
+    # Federation names the vault as an error instead of serving it.
+    items, report = getattr(FederatedQuery({"vault": client}), op)()
+    assert items == []
+    (status,) = report.vaults
+    assert status.status == "error"
+    assert named in status.detail
+
+
+class StuckService(VaultService):
+    """Answers every page with ``reply``; gives up after 1,000 requests
+    so a client that keeps following it fails instead of hanging."""
+
+    def __init__(self, vault, reply):
+        super().__init__(vault)
+        self.reply = reply
+
+    def handle(self, request):
+        self.requests_served += 1
+        if self.requests_served > 1_000:
+            return {"ok": True, "result": {"entries": [], "next": None}}
+        return {"ok": True, "result": self.reply(self.vault)}
+
+
+def _first_doc(vault):
+    return vault.select()[0].to_dict()
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        lambda vault: {"entries": [], "next": 0},
+        lambda vault: {"entries": [], "next": 64},
+        lambda vault: {"entries": [_first_doc(vault)], "next": 0},
+        lambda vault: {"entries": [_first_doc(vault)], "next": "1"},
+    ],
+    ids=["empty-same-offset", "empty-page", "next-not-past", "next-not-int"],
+)
+def test_pagination_must_advance(vault, reply):
+    network = Network()
+    server = StuckService(vault, reply)
+    network.register_vault_service(server)
+    client = RemoteVaultClient(network, service="vault")
+    entries, report = FederatedQuery({"vault": client}, timeout=50_000).select()
+    (status,) = report.vaults
+    assert status.status == "error", status
+    assert "does not advance" in status.detail
+    assert entries == []
+    assert server.requests_served == 1
