@@ -2,8 +2,8 @@
 # Repo check entry points.
 #
 #   scripts/check.sh test-fast   default lane: everything not marked slow
-#                                (the tier-1 gate: 1255 tests, 51-55 s,
-#                                52-56 s wall on a 2-core host)
+#                                (the tier-1 gate: 1330 tests, 46-54 s,
+#                                47-55 s wall on a 2-core host)
 #   scripts/check.sh test-all    full lane: fast tests + slow tests +
 #                                every paper-table benchmark
 #   scripts/check.sh chaos       fault-injection suite: every chaos
@@ -45,15 +45,21 @@
 #                                (ndlog overhead + replay throughput)
 #                                merged into BENCH_interpreter.json
 #   scripts/check.sh tier3       block-compiled engine subsystem: the
-#                                two-tier differential suite, the
-#                                tier-3 unit tests, the full cross-
-#                                engine replay sweep (62 seeded
-#                                crashers recorded on block and
-#                                replayed on reference, and the other
-#                                way round), and the interpreter
-#                                benchmark (engine speedup + decode
-#                                throughput) with its >25% regression
-#                                guard
+#                                two-engine differential suite, the
+#                                tier-3 unit tests (the CALL, CALLR,
+#                                CALLX, SYS and HALT terminators
+#                                checked against the reference in
+#                                partial runs), the full cross-engine
+#                                replay sweep (62 seeded crashers
+#                                recorded on block and replayed on
+#                                reference, and the other way round),
+#                                the scheduling-order golden with its
+#                                slow seeds (126 entries on both
+#                                engines: the compiled SYS terminator
+#                                is what blocks, sleeps and hands off
+#                                locks), and the interpreter benchmark
+#                                (engine speedup + decode throughput)
+#                                with its >25% regression guard
 #   scripts/check.sh perf        pipeline benchmark smoke: one traced
 #                                crash-triage run (1 s window, at least
 #                                four full-scale cycles), one traced
@@ -128,7 +134,8 @@ case "${1:-test-fast}" in
     ;;
   tier3)
     python -m pytest -q tests/vm/test_differential.py tests/vm/test_blocks.py \
-      tests/replay/test_cross_engine.py -m "slow or not slow"
+      tests/replay/test_cross_engine.py tests/replay/test_schedule_golden.py \
+      -m "slow or not slow"
     python benchmarks/bench_interpreter.py
     exec python benchmarks/bench_interpreter.py --check
     ;;

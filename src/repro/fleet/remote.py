@@ -542,12 +542,13 @@ class RemoteVaultClient(VaultSource):
     def fetch_blob(self, digest: str) -> bytes:
         """One TBSZ2 container, CRC-checked on arrival."""
         result = self._request("fetch_blob", {"digest": digest})
+        where = f"fetch_blob on {self.service!r}: blob {digest[:12]}"
         try:
-            data = bytes.fromhex(result["blob"])
-        except (KeyError, ValueError) as exc:
-            raise ProtocolError(f"blob {digest[:12]} reply malformed: {exc}")
+            data = bytes.fromhex(result.get("blob"))
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"{where} reply malformed: {exc}") from None
         if zlib.crc32(data) != result.get("crc"):
-            raise ProtocolError(f"blob {digest[:12]} failed CRC on arrival")
+            raise ProtocolError(f"{where} failed CRC on arrival")
         self.metrics.bump(remote_blob_fetches=1)
         return data
 
@@ -563,10 +564,22 @@ class RemoteVaultClient(VaultSource):
     def mapfiles(self) -> list[Mapfile]:
         """The vault's stored mapfiles, fetched once and cached."""
         if self._mapfile_cache is None:
-            listing = self._request("fetch_mapfile", {})
+            where = f"fetch_mapfile on {self.service!r}"
+            checksums = self._request("fetch_mapfile", {}).get("checksums")
+            if not isinstance(checksums, list) or not all(
+                isinstance(c, str) for c in checksums
+            ):
+                raise ProtocolError(
+                    f"{where}: checksums {checksums!r} is not a list of strings"
+                )
             loaded = []
-            for checksum in listing.get("checksums", []):
+            for checksum in checksums:
                 doc = self._request("fetch_mapfile", {"checksum": checksum})
-                loaded.append(Mapfile.from_dict(doc["mapfile"]))
+                try:
+                    loaded.append(Mapfile.from_dict(doc["mapfile"]))
+                except (LookupError, TypeError, ValueError, AttributeError) as exc:
+                    raise ProtocolError(
+                        f"{where}: mapfile {checksum[:12]} malformed: {exc!r}"
+                    ) from None
             self._mapfile_cache = loaded
         return list(self._mapfile_cache)

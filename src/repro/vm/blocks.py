@@ -1,13 +1,13 @@
 """Tier-3 block-compiled execution engine for TBVM.
 
-Per-instruction dispatch (:mod:`repro.vm.dispatch`) pays one Python
-call, one handler fetch, and three counter increments *per
-instruction*.  For straight-line code that overhead dominates: a basic
-block's worth of ALU/memory traffic is a handful of arithmetic
-operations wrapped in a dozen dispatch steps each.  This module removes
-the per-instruction costs the way block-translating DBI engines do — by
-fusing each straight-line run into a *unit*, one compiled Python
-function:
+The reference interpreter (:meth:`repro.vm.machine.Machine.step`) pays
+one decode lookup, one ~30-arm ``if/elif`` walk, and three counter
+increments *per instruction*.  For straight-line code that overhead
+dominates: a basic block's worth of ALU/memory traffic is a handful of
+arithmetic operations wrapped in a dozen dispatch steps each.  This
+module removes the per-instruction costs the way block-translating DBI
+engines do — by fusing each straight-line run into a *unit*, one
+compiled Python function:
 
 * **registers live in locals** for the duration of the run (loaded from
   ``thread.regs`` once, written back once at the exit);
@@ -16,14 +16,14 @@ function:
 * **one clock/trace-counter update per unit** — ``machine.cycles``,
   ``process.cycles_used`` and ``thread.instructions`` are pre-charged
   with the unit's full instruction count in three additions;
-* **inline terminators** — conditional branches, ``BR``/``JMP``/
-  ``JTAB``/``BSENT``/``THROW``/``CALL``/``RET`` are folded into the
-  function, so a hot loop body is one table lookup + one call per
-  iteration;
-* **handler terminators** — ``SYS``/``CALLR``/``CALLX``/``HALT`` call
-  the tier-2 predecoded handler *after* register write-back, so
-  syscalls, host calls, and the unwinder see ordinary architectural
-  state.
+* **inline terminators** — every non-fusible instruction is compiled
+  into the function.  Branches, ``JMP``/``JTAB``/``BSENT``/``THROW``/
+  ``CALL``/``RET`` are folded in, so a hot loop body is one table lookup
+  + one call per iteration; ``SYS``/``CALLR``/``CALLX``/``HALT`` run
+  *after* register write-back and call the runtime methods the reference
+  engine uses (``Machine._syscall``, ``Machine._do_call``, the import's
+  host callable, ``Process.exit_normally``), so syscalls, host calls,
+  and the unwinder see ordinary architectural state.
 
 Every code word of a module belongs to exactly one unit, so the engine
 never dispatches instruction by instruction.  A unit can be entered at
@@ -38,8 +38,8 @@ performance choice, not a correctness one: CFG leaders
 entries start whole units, and nothing else depends on them.
 
 Bit-identity with the reference interpreter is non-negotiable (the
-differential suite in ``tests/vm/test_differential.py`` runs both tiers
-against each other).  The subtle cases:
+differential suite in ``tests/vm/test_differential.py`` runs both
+engines against each other).  The subtle cases:
 
 * **faults inside a run** — every faultable operation passes its own
   absolute pc to ``load``/``store``/``_div``, so the recovery path reads
@@ -63,7 +63,7 @@ it is cached process-wide under that key (:data:`UNIT_CACHE`, an LRU
 bounded by :data:`CACHE_UNITS` units).  A second load of the same image
 — the next process running the same program, or a replay of it —
 compiles nothing: it binds the cached code objects to its own memory
-and tier-2 handlers in fresh globals.
+and import bindings in fresh globals.
 """
 
 from __future__ import annotations
@@ -74,8 +74,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.cfg import build_all_cfgs
 from repro.isa.instructions import Instr, Op
-from repro.vm.dispatch import _div, _mod
-from repro.vm.errors import VMFault
+from repro.vm.errors import ExcCode, VMFault
 from repro.vm.thread import SIGRET_RA, TRAMPOLINE_RA, Frame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -93,6 +92,36 @@ CACHE_UNITS = 2048
 
 _M = 0xFFFFFFFF
 _H = 0x80000000
+
+#: Cycles charged for a host-function CALLX when the host fn returns None.
+HOST_CALL_COST = 25
+
+
+# ----------------------------------------------------------------------
+# ISA arithmetic both engines share (the reference interpreter imports
+# these; compiled units call ``_div``/``_mod`` through their globals)
+# ----------------------------------------------------------------------
+def _s32(value: int) -> int:
+    """Interpret a 32-bit word as signed."""
+    value &= _M
+    return value - (1 << 32) if value >= (1 << 31) else value
+
+
+def _div(a: int, b: int, pc: int) -> int:
+    if b == 0:
+        raise VMFault(ExcCode.DIVIDE_BY_ZERO, pc, "DIV")
+    q = abs(_s32(a)) // abs(_s32(b))
+    if (_s32(a) < 0) != (_s32(b) < 0):
+        q = -q
+    return q & _M
+
+
+def _mod(a: int, b: int, pc: int) -> int:
+    if b == 0:
+        raise VMFault(ExcCode.DIVIDE_BY_ZERO, pc, "MOD")
+    sa = _s32(a)
+    r = abs(sa) % abs(_s32(b))
+    return (-r if sa < 0 else r) & _M
 
 #: Straight-line opcodes a unit may fuse: they always fall through, read
 #: no clock, and run no hooks (memory access has none).  Everything else
@@ -147,8 +176,9 @@ _WRITE_CACHES = (
 def _load(dst: str, addr: str, pc: int, refresh: bool = True) -> list[str]:
     """``dst = mem[addr]`` through the unit's local copies of the memory's
     read hit caches (primary, then victim: ``(base, end, words)``), else
-    through ``Memory.load`` — which faults exactly as tier 2 does and
-    refreshes the shared caches, re-read into the locals."""
+    through ``Memory.load`` — which faults exactly as the reference
+    engine's loads do and refreshes the shared caches, re-read into the
+    locals."""
     lines = [
         f"if _rb <= {addr} < _re:",
         f"    {dst} = _rw[{addr} - _rb]",
@@ -177,9 +207,9 @@ def _store(addr: str, value: str, slow: str, refresh: bool = True) -> list[str]:
 
 def _emit_fused(instr: Instr, pc: int) -> tuple[list[str], set[int], set[int]]:
     """Source lines for one fused instruction, plus its register
-    read/write sets.  Mirrors :func:`repro.vm.dispatch._build_one`
-    exactly, including fault ordering (``PUSH`` moves sp before the
-    store that may fault) and masking discipline."""
+    read/write sets.  Mirrors its arm of ``Machine._exec`` exactly,
+    including fault ordering (``PUSH`` moves sp before the store that
+    may fault) and masking discipline."""
     op, rd, rs, rt, imm = instr.op, instr.rd, instr.rs, instr.rt, instr.imm
     if op is Op.ADDI:
         return [f"r{rd} = (r{rs} + {imm}) & 4294967295"], {rs}, {rd}
@@ -275,50 +305,37 @@ _FAULTABLE = frozenset(
 )
 
 
-def _emit_terminator(
-    instr: Instr, pc: int
-) -> tuple[list[str], set[int], bool, bool]:
-    """Source lines for an inline terminator, its register reads,
-    whether it could be inlined (``False`` = use the tier-2 handler),
-    and whether the lines touch ``regs`` directly."""
+def _emit_terminator(instr: Instr, pc: int) -> tuple[list[str], set[int], bool]:
+    """Source lines for a unit's terminator, its register reads, and
+    whether the lines touch ``regs`` directly.  Every line runs after
+    register write-back; the ones that can fault or call out first set
+    ``thread.pc`` to the terminator, as the reference engine has it."""
     op, rd, rs, imm = instr.op, instr.rd, instr.rs, instr.imm
     nxt = pc + 1
     if op is Op.BR:
-        return [f"thread.pc = {nxt + imm}"], set(), True, False
+        return [f"thread.pc = {nxt + imm}"], set(), False
     if op is Op.BZ:
-        return (
-            [f"thread.pc = {nxt + imm} if r{rd} == 0 else {nxt}"],
-            {rd}, True, False,
-        )
+        return [f"thread.pc = {nxt + imm} if r{rd} == 0 else {nxt}"], {rd}, False
     if op is Op.BNZ:
-        return (
-            [f"thread.pc = {nxt + imm} if r{rd} != 0 else {nxt}"],
-            {rd}, True, False,
-        )
+        return [f"thread.pc = {nxt + imm} if r{rd} != 0 else {nxt}"], {rd}, False
     if op is Op.BEQ:
         return (
             [f"thread.pc = {nxt + imm} if r{rd} == r{rs} else {nxt}"],
-            {rd, rs}, True, False,
+            {rd, rs}, False,
         )
     if op is Op.BNE:
         return (
             [f"thread.pc = {nxt + imm} if r{rd} != r{rs} else {nxt}"],
-            {rd, rs}, True, False,
+            {rd, rs}, False,
         )
     if op is Op.BLT:
         cond = f"{_signed(f'r{rd}')} < {_signed(f'r{rs}')}"
-        return (
-            [f"thread.pc = {nxt + imm} if {cond} else {nxt}"],
-            {rd, rs}, True, False,
-        )
+        return [f"thread.pc = {nxt + imm} if {cond} else {nxt}"], {rd, rs}, False
     if op is Op.BGE:
         cond = f"{_signed(f'r{rd}')} >= {_signed(f'r{rs}')}"
-        return (
-            [f"thread.pc = {nxt + imm} if {cond} else {nxt}"],
-            {rd, rs}, True, False,
-        )
+        return [f"thread.pc = {nxt + imm} if {cond} else {nxt}"], {rd, rs}, False
     if op is Op.JMP:
-        return [f"thread.pc = r{rd}"], {rd}, True, False
+        return [f"thread.pc = r{rd}"], {rd}, False
     if op is Op.JTAB:
         # The table load may fault: thread.pc must already point at the
         # terminator, and the unit is fully charged (it is the last
@@ -329,7 +346,7 @@ def _emit_terminator(
                 f"_a = (r{rs} + r{rd}) & 4294967295",
                 *_load("thread.pc", "_a", pc, refresh=False),
             ],
-            {rd, rs}, True, False,
+            {rd, rs}, False,
         )
     if op is Op.BSENT:
         return (
@@ -338,20 +355,14 @@ def _emit_terminator(
                 *_load("_a", f"r{rd}", pc, refresh=False),
                 f"thread.pc = {nxt + imm} if _a == 4294967295 else {nxt}",
             ],
-            {rd}, True, False,
+            {rd}, False,
         )
     if op is Op.THROW:
-        return (
-            [
-                f"thread.pc = {pc}",
-                f"raise _F(r{rd}, {pc}, 'THROW')",
-            ],
-            {rd}, True, False,
-        )
+        return [f"thread.pc = {pc}", f"raise _F(r{rd}, {pc}, 'THROW')"], {rd}, False
     if op is Op.CALL:
-        # Mirrors the tier-2 handler exactly: sp moves before the store
-        # that may fault (partial effect persists), the frame is pushed
-        # only on success.  Runs after write-back, on regs directly.
+        # Mirrors Machine._do_call: sp moves before the store that may
+        # fault (partial effect persists), the frame is pushed only on
+        # success.  Runs on regs directly.
         target = nxt + imm
         return (
             [
@@ -363,7 +374,28 @@ def _emit_terminator(
                 f"_Fr(entry_pc={target}, return_pc={nxt}, entry_sp=_sp))",
                 f"thread.pc = {target}",
             ],
-            set(), True, True,
+            set(), True,
+        )
+    if op is Op.CALLR:
+        return (
+            [f"thread.pc = {pc}", f"machine._do_call(thread, _mem, r{rd}, {pc})"],
+            {rd}, False,
+        )
+    if op is Op.CALLX:
+        # The binding is per load (host callables are per process), so
+        # it is read from the bound globals, never compiled in.
+        return (
+            [
+                f"thread.pc = {pc}",
+                f"_b = _imports[{imm}]",
+                "if callable(_b):",
+                "    _c = _b(thread)",
+                f"    machine.cycles += {HOST_CALL_COST} if _c is None else _c",
+                f"    thread.pc = {nxt}",
+                "else:",
+                f"    machine._do_call(thread, _mem, _b, {pc})",
+            ],
+            set(), False,
         )
     if op is Op.RET:
         return (
@@ -385,9 +417,18 @@ def _emit_terminator(
                 "else:",
                 "    thread.pc = _ra",
             ],
-            set(), True, True,
+            set(), True,
         )
-    return [], set(), False, False
+    if op is Op.SYS:
+        # Machine._syscall moves the pc past the SYS itself, unless the
+        # call ended the thread or faulted.
+        return (
+            [f"thread.pc = {pc}", f"machine._syscall(thread, process, {imm})"],
+            set(), False,
+        )
+    if op is Op.HALT:
+        return [f"thread.pc = {pc}", "process.exit_normally(r0)"], {0}, False
+    raise AssertionError(f"no terminator emitter for {op!r}")
 
 
 #: A bound unit, shared by every table slot it covers: (module-relative
@@ -398,13 +439,10 @@ def _emit_terminator(
 Unit = tuple[int, int, Callable, "Callable | None"]
 
 
-def _unit_source(
-    offset: int, instrs: list[Instr], base_pc: int
-) -> tuple[str, int]:
+def _unit_source(offset: int, instrs: list[Instr], base_pc: int) -> str:
     """Source of one unit's whole-run function (``_u<offset>``) and, for
     units longer than one instruction, its partial-run function
-    (``_p<offset>``); plus the offset of the handler terminator the
-    functions call as ``_h<offset>``, or -1."""
+    (``_p<offset>``)."""
     count = len(instrs)
     fused = instrs if instrs[-1].op in FUSIBLE else instrs[:-1]
     term = instrs[-1] if len(fused) != count else None
@@ -424,16 +462,11 @@ def _unit_source(
 
     term_lines: list[str] = []
     term_regs = False
-    hoff = -1
     if term is not None:
-        term_pc = base_pc + len(fused)
-        lines, term_reads, inline, term_regs = _emit_terminator(term, term_pc)
-        if inline:
-            term_lines = lines
-            touched |= term_reads
-        else:
-            hoff = offset + len(fused)
-            term_lines = [f"thread.pc = {term_pc}", f"_h{hoff}(machine, thread)"]
+        term_lines, term_reads, term_regs = _emit_terminator(
+            term, base_pc + len(fused)
+        )
+        touched |= term_reads
 
     # Every touched register is loaded, so the fault path can write all
     # of them back whichever instruction faulted.
@@ -482,7 +515,7 @@ def _unit_source(
     else:
         src.extend(f"    {line}" for line in term_lines)
     if count == 1:
-        return "\n".join(src), hoff
+        return "\n".join(src)
 
     # The partial run executes instructions [s, e): each fused
     # instruction is guarded by its index, and the single-pass loop
@@ -505,13 +538,12 @@ def _unit_source(
         src.append(f"        thread.pc = {base_pc} + e")
         src.append("        return")
         src.extend(f"    {line}" for line in term_lines)
-    return "\n".join(src), hoff
+    return "\n".join(src)
 
 
 #: The compiled units of one code image, in code order: (offset,
-#: instruction count, offset of the handler terminator or -1, the code
-#: object defining the unit's functions).
-Image = list[tuple[int, int, int, CodeType]]
+#: instruction count, the code object defining the unit's functions).
+Image = list[tuple[int, int, CodeType]]
 
 
 def _leaders(module) -> set[int]:
@@ -553,10 +585,10 @@ def _compile_image(loaded: "LoadedModule") -> Image:
                 or scan in leaders
             ):
                 break
-        source, hoff = _unit_source(
+        source = _unit_source(
             offset, decoded[offset:scan], loaded.code_base + offset
         )
-        image.append((offset, scan - offset, hoff, compile(source, name, "exec")))
+        image.append((offset, scan - offset, compile(source, name, "exec")))
         offset = scan
     return image
 
@@ -610,14 +642,14 @@ def bind_units(loaded: "LoadedModule") -> list[Unit]:
 
     The table is parallel to ``loaded.decoded``: slot ``i`` holds the
     :data:`Unit` covering code offset ``i``.  The cached code objects
-    run in fresh globals holding this load's memory and tier-2
-    handlers, so no two loads share state.
+    run in fresh globals holding this load's memory and import
+    bindings, so no two loads share state.
     """
     image = UNIT_CACHE.image(loaded)
     memory = loaded.memory
-    handlers = loaded.handlers
     glb: dict = {
         "_mem": memory,
+        "_imports": loaded.import_bindings,
         "_ld": memory.load,
         "_st": memory.store,
         "_om": memory.or_word,
@@ -627,9 +659,7 @@ def bind_units(loaded: "LoadedModule") -> list[Unit]:
         "_Fr": Frame,
     }
     table: list[Unit] = []
-    for off, count, hoff, code in image:
-        if hoff >= 0:
-            glb[f"_h{hoff}"] = handlers[hoff]
+    for off, count, code in image:
         exec(code, glb)
         # Popped, so the functions' globals do not refer back to them.
         unit = (off, count, glb.pop(f"_u{off}"), glb.pop(f"_p{off}", None))

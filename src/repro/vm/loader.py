@@ -21,7 +21,6 @@ from typing import Callable
 from repro.isa.encoding import decode
 from repro.isa.instructions import Instr
 from repro.isa.module import Module, Reloc
-from repro.vm.dispatch import Handler, build_handlers
 from repro.vm.errors import VMError
 from repro.vm.memory import Memory, Segment
 
@@ -42,11 +41,8 @@ class LoadedModule:
     import_bindings: list[int | Callable] = field(default_factory=list)
     #: Decoded-instruction cache, parallel to the code segment.
     decoded: list[Instr] = field(default_factory=list)
-    #: Predecoded tier-2 handler table, parallel to ``decoded`` (see
-    #: :mod:`repro.vm.dispatch`): the terminators tier 3 does not inline.
-    handlers: list[Handler] = field(default_factory=list)
-    #: The owning process's memory; bound by the loader so predecoded
-    #: handlers can capture ``load``/``store`` directly.
+    #: The owning process's memory; bound by the loader so compiled
+    #: units can capture ``load``/``store`` directly.
     memory: Memory | None = None
     #: What compiled units depend on — the code base and the code words
     #: ``decoded`` was built from; the unit cache's key.
@@ -82,15 +78,14 @@ class LoadedModule:
         return self.code_base + self.module.exports[name]
 
     def refresh_decode_cache(self) -> None:
-        """Re-decode the (possibly rewritten) code segment and lower it
-        to the predecoded handler table."""
+        """Re-decode the (possibly rewritten) code segment.
+
+        Bound units were compiled from the old words; the table is
+        dropped so the next run binds units of the fresh decode.
+        """
         words = tuple(self.segments[0].words)
         self.decoded = [decode(word) for word in words]
         self.image_key = (self.code_base, words)
-        if self.memory is not None:
-            self.handlers = build_handlers(self, self.memory)
-        # Bound units capture the old handlers/immediates; drop them so
-        # the next run binds units compiled from the fresh decode.
         self.block_table = None
 
 

@@ -31,14 +31,7 @@ from typing import Callable
 
 from repro.isa.instructions import Op
 from repro.isa.module import Module
-from repro.vm.blocks import bind_units
-from repro.vm.dispatch import (
-    ALU_I as _ALU_I,
-    ALU_R as _ALU_R,
-    BRANCH as _BRANCH,
-    HOST_CALL_COST,
-    _s32,
-)
+from repro.vm.blocks import HOST_CALL_COST, _div, _mod, _s32, bind_units
 from repro.vm.errors import (
     EngineSelectionError,
     ExcCode,
@@ -75,6 +68,44 @@ STACK_WORDS = 8192
 
 #: Scheduler quantum in instructions.
 QUANTUM = 40
+
+# The reference interpreter's ALU and conditional-branch tables
+# (``Machine._exec``); compiled units inline their own expressions.
+_ALU_R = {
+    Op.ADD: lambda a, b, pc: (a + b) & WORD_MASK,
+    Op.SUB: lambda a, b, pc: (a - b) & WORD_MASK,
+    Op.MUL: lambda a, b, pc: (a * b) & WORD_MASK,
+    Op.DIV: _div,
+    Op.MOD: _mod,
+    Op.AND: lambda a, b, pc: a & b,
+    Op.OR: lambda a, b, pc: a | b,
+    Op.XOR: lambda a, b, pc: a ^ b,
+    Op.SHL: lambda a, b, pc: (a << (b & 31)) & WORD_MASK,
+    Op.SHR: lambda a, b, pc: (a & WORD_MASK) >> (b & 31),
+    Op.SLT: lambda a, b, pc: 1 if _s32(a) < _s32(b) else 0,
+    Op.SLE: lambda a, b, pc: 1 if _s32(a) <= _s32(b) else 0,
+    Op.SEQ: lambda a, b, pc: 1 if a == b else 0,
+    Op.SNE: lambda a, b, pc: 1 if a != b else 0,
+}
+
+_ALU_I = {
+    Op.ANDI: lambda a, imm: a & (imm & 0xFFFF),
+    Op.ORI: lambda a, imm: a | (imm & 0xFFFF),
+    Op.XORI: lambda a, imm: a ^ (imm & 0xFFFF),
+    Op.SHLI: lambda a, imm: (a << (imm & 31)) & WORD_MASK,
+    Op.SHRI: lambda a, imm: (a & WORD_MASK) >> (imm & 31),
+    Op.SLTI: lambda a, imm: 1 if _s32(a) < imm else 0,
+    Op.MULI: lambda a, imm: (a * imm) & WORD_MASK,
+}
+
+_BRANCH = {
+    Op.BZ: lambda a, b: a == 0,
+    Op.BNZ: lambda a, b: a != 0,
+    Op.BEQ: lambda a, b: a == b,
+    Op.BNE: lambda a, b: a != b,
+    Op.BLT: lambda a, b: _s32(a) < _s32(b),
+    Op.BGE: lambda a, b: _s32(a) >= _s32(b),
+}
 
 
 @dataclass
@@ -297,14 +328,15 @@ class Machine:
 
     ``engine`` selects the interpreter: ``"block"`` (the default) runs
     the tier-3 block-compiled engine in :mod:`repro.vm.blocks` (fused
-    straight-line units, enterable at any instruction, with the tier-2
-    handlers of :mod:`repro.vm.dispatch` as terminators); ``"reference"``
-    runs the original ``step()`` if/elif interpreter, the oracle.  Both
-    tiers are bit-identical in architectural state, cycle counts, and
-    trace output (enforced by ``tests/vm/test_differential.py``); tier 3
-    exists purely for throughput.  The ``TBVM_ENGINE`` environment
-    variable overrides the default for debugging; an unknown value
-    raises :class:`~repro.vm.errors.EngineSelectionError`.
+    straight-line units, enterable at any instruction, each compiling
+    its own terminator); ``"reference"`` runs the original ``step()``
+    if/elif interpreter, the oracle.  The two engines are the only
+    implementations of the ISA and are bit-identical in architectural
+    state, cycle counts, and trace output (enforced by
+    ``tests/vm/test_differential.py``); tier 3 exists purely for
+    throughput.  The ``TBVM_ENGINE`` environment variable overrides the
+    default for debugging; an unknown value raises
+    :class:`~repro.vm.errors.EngineSelectionError`.
     """
 
     def __init__(
@@ -616,10 +648,9 @@ class Machine:
         """Execute one instruction of ``thread``.
 
         This is the **reference interpreter**: one if/elif dispatch per
-        instruction.  The tier-2 handlers (:mod:`repro.vm.dispatch`) and
-        the tier-3 units (:mod:`repro.vm.blocks`) must stay bit-identical
-        to it; change semantics here first, then mirror them in both
-        code generators.
+        instruction.  The tier-3 units (:mod:`repro.vm.blocks`) must stay
+        bit-identical to it; change semantics here first, then mirror
+        them in the unit compiler.
         """
         process = thread.process
         loaded = process.loader.find_code(thread.pc)
@@ -698,8 +729,7 @@ class Machine:
             return
         elif op is Op.SYS:
             self._syscall(thread, process, instr.imm)
-            if not thread.runnable() or thread.pc != pc:
-                return
+            return
         elif op is Op.THROW:
             raise VMFault(regs[instr.rd], pc, "THROW")
         elif op is Op.HALT:
@@ -811,6 +841,9 @@ class Machine:
     # Syscalls
     # ------------------------------------------------------------------
     def _syscall(self, thread: Thread, process: Process, number: int) -> None:
+        """Run syscall ``number`` for the ``SYS`` at ``thread.pc``.  Moves
+        the pc past the ``SYS`` unless the call ends the thread or
+        faults, so both engines call it as the whole instruction."""
         process.hooks.syscall(thread, number)
         cost = COSTS.get(number, DEFAULT_COST)
         self.cycles += cost

@@ -376,6 +376,50 @@ def test_malformed_items_are_protocol_errors(vault, op, rewrite, named):
     assert named in status.detail
 
 
+def _blob_not_hex(result):
+    if "blob" in result:
+        result["blob"] = 5
+
+
+def _mapfile_missing(result):
+    result.pop("mapfile", None)
+
+
+def _checksums_not_list(result):
+    if "checksums" in result:
+        result["checksums"] = 7
+
+
+def _mapfile_not_doc(result):
+    if "mapfile" in result:
+        result["mapfile"] = "x"
+
+
+@pytest.mark.parametrize(
+    "rewrite,named",
+    [
+        (_blob_not_hex, "fetch_blob on 'vault': blob "),
+        (_mapfile_missing, "fetch_mapfile on 'vault': mapfile "),
+        (_checksums_not_list, "fetch_mapfile on 'vault': checksums 7 "),
+        (_mapfile_not_doc, "fetch_mapfile on 'vault': mapfile "),
+    ],
+    ids=["blob-not-hex", "mapfile-missing", "checksums-not-list",
+         "mapfile-not-doc"],
+)
+def test_malformed_evidence_replies_are_protocol_errors(vault, rewrite, named):
+    """Blob and mapfile replies are checked like list items: a bad shape
+    is a ProtocolError naming the op and the vault, also out of an
+    incident reconstruction."""
+    network = Network()
+    network.register_vault_service(RewritingService(vault, rewrite))
+    federation = FederatedQuery(
+        {"vault": RemoteVaultClient(network, service="vault")}
+    )
+    incidents, _ = federation.incidents()
+    with pytest.raises(ProtocolError, match=re.escape(named)):
+        federation.reconstruct_incident(incidents[0])
+
+
 class StuckService(VaultService):
     """Answers every page with ``reply``; gives up after 1,000 requests
     so a client that keeps following it fails instead of hanging."""

@@ -196,19 +196,50 @@ FUSED = [
     Instr(Op.SLT, rd=0, rs=1, rt=7),
 ]
 
-#: Terminators the unit may end with: inline (``CALL``), a tier-2
-#: handler (``SYS``), or none (the next word is a leader).
-TERMINATORS = {"call": Op.CALL, "sys": Op.SYS, "none": None}
+#: What ends the unit after ``FUSED``: a terminator (with, for
+#: ``callr-push-faults``, a fused ``MOVI`` that points sp at unmapped
+#: memory so the return-address push faults), or nothing (the next word
+#: is a leader).  ``CALL``/``CALLR`` target the module's leaf function,
+#: ``CALLX`` import 0 is :func:`_host_import` and import 1 is ``triple``
+#: in the second module :data:`LIB`.
+TERMINATORS = {
+    "none": [],
+    "call": [Instr(Op.CALL, imm=0)],  # patched to the leaf by _unit_module
+    "callr": [Instr(Op.CALLR, rd=11)],
+    "callr-push-faults": [
+        Instr(Op.MOVI, rd=12, imm=0),
+        Instr(Op.CALLR, rd=11),
+    ],
+    "callx-host": [Instr(Op.CALLX, imm=0)],
+    "callx-guest": [Instr(Op.CALLX, imm=1)],
+    "sys": [Instr(Op.SYS, imm=Sys.PRINT_INT)],
+    "halt": [Instr(Op.HALT)],
+}
+
+#: The second module a guest-bound ``CALLX`` enters.
+LIB = Module(
+    name="lib",
+    code=encode_all([Instr(Op.MULI, rd=0, rs=0, imm=3), Instr(Op.RET)]),
+    exports={"triple": 0},
+    funcs=[FuncInfo(name="triple", start=0, end=2)],
+)
 
 
-def _unit_module(fused, terminator):
-    """``main`` is one unit, followed by a catch-all handler (a leader)
-    and a leaf function the ``CALL`` terminator targets."""
-    instrs = list(fused)
-    if terminator is Op.SYS:
-        instrs.append(Instr(Op.SYS, imm=Sys.PRINT_INT))
-    elif terminator is Op.CALL:
-        instrs.append(Instr(Op.CALL, imm=0))  # patched below
+def _host_import(thread):
+    """The host function ``CALLX`` import 0 is bound to: it writes a
+    register and memory, and returns a cost or None (the default host
+    call cost) depending on r0."""
+    regs = thread.regs
+    regs[0] = (regs[0] + 11) & 0xFFFFFFFF
+    thread.process.memory.store(regs[8] + 2, regs[0])
+    return None if regs[0] & 1 else 4
+
+
+def _unit_module(fused, tail):
+    """``main`` is one unit, ``fused + tail``, followed by a catch-all
+    handler (a leader) and a leaf function the ``CALL``/``CALLR``
+    terminators target."""
+    instrs = list(fused) + list(tail)
     handler = len(instrs)
     instrs += [
         Instr(Op.ADDI, rd=0, rs=0, imm=100),
@@ -218,12 +249,13 @@ def _unit_module(fused, terminator):
     ]
     leaf = len(instrs)
     instrs += [Instr(Op.ADDI, rd=0, rs=0, imm=7), Instr(Op.RET)]
-    if terminator is Op.CALL:
+    if tail and tail[-1].op is Op.CALL:
         instrs[handler - 1] = Instr(Op.CALL, imm=leaf - handler)
     return Module(
         name="unit",
         code=encode_all(instrs),
-        exports={"main": 0},
+        exports={"main": 0, "leaf": leaf},
+        imports=["__unit_host", "triple"],
         funcs=[
             FuncInfo(
                 name="main",
@@ -236,10 +268,18 @@ def _unit_module(fused, terminator):
     )
 
 
+def _load_unit(machine, module):
+    """A process with :data:`LIB` and ``module`` loaded, the host import
+    registered."""
+    process = machine.create_process("part")
+    process.loader.register_host_function("__unit_host", _host_import)
+    process.load_module(LIB)
+    return process, process.load_module(module)
+
+
 def _partial_state(engine, module, entry, quantum):
     machine = Machine(engine=engine)
-    process = machine.create_process("part")
-    loaded = process.load_module(module)
+    process, loaded = _load_unit(machine, module)
     scratch = process.alloc_words(16)
     thread = process.create_thread(loaded.code_base + entry)
     for r in range(8):
@@ -247,6 +287,7 @@ def _partial_state(engine, module, entry, quantum):
     thread.regs[8] = scratch
     thread.regs[9] = 7
     thread.regs[10] = scratch + 4
+    thread.regs[11] = loaded.export_addr("leaf")
     machine.run_thread_slice(thread, quantum)
     return _capture(machine, process, None)
 
@@ -261,10 +302,11 @@ def test_partial_runs_match_reference(terminator, fault_at):
     fused = list(FUSED)
     if fault_at is not None:
         fused[fault_at] = Instr(Op.LDW, rd=3, rs=13, imm=0)
-    module = _unit_module(fused, TERMINATORS[terminator])
-    count = len(fused) + (TERMINATORS[terminator] is not None)
+    tail = TERMINATORS[terminator]
+    module = _unit_module(fused, tail)
+    count = len(fused) + len(tail)
     # The module compiles to the unit under test, covering [0, count).
-    loaded = Machine().create_process("layout").load_module(module)
+    _, loaded = _load_unit(Machine(), module)
     assert blocks.bind_units(loaded)[0][:2] == (0, count)
     for entry in range(count):
         for stop in range(entry + 1, count + 1):
@@ -274,6 +316,28 @@ def test_partial_runs_match_reference(terminator, fault_at):
             block = _partial_state("block", module, entry, quantum)
             reference = _partial_state("reference", module, entry, quantum)
             assert block == reference, (entry, stop)
+
+
+def test_every_opcode_compiles_as_a_unit(cache):
+    """Units have no per-instruction fallback: every opcode, fusible or
+    a terminator, must compile as (the end of) a unit."""
+    missing = []
+    for op in Op:
+        module = Module(
+            name=f"op{op.value}",
+            code=encode_all([Instr(op, rd=1, rs=2, rt=3, imm=4)]),
+            exports={"main": 0},
+            funcs=[FuncInfo(name="main", start=0, end=1)],
+        )
+        process = Machine().create_process("ops")
+        try:
+            table = blocks.bind_units(process.load_module(module))
+        except AssertionError as exc:
+            missing.append(f"{op.name}: {exc}")
+            continue
+        assert table[0][:2] == (0, 1)
+    assert missing == []
+    assert cache.misses == len(Op)
 
 
 @pytest.mark.parametrize("op", [Op.STW, Op.ORM, Op.STDAG, Op.PUSH])
@@ -288,12 +352,11 @@ def test_store_to_read_only_code_faults_whatever_the_read_caches_hold(op):
         Op.STDAG: Instr(Op.STDAG, rd=8, imm=5),
         Op.PUSH: Instr(Op.PUSH, rd=2),
     }[op]
-    module = _unit_module([Instr(Op.ADDI, rd=1, rs=1, imm=1), store], None)
+    module = _unit_module([Instr(Op.ADDI, rd=1, rs=1, imm=1), store], [])
 
     def run(engine):
         machine = Machine(engine=engine)
-        process = machine.create_process("ro")
-        loaded = process.load_module(module)
+        process, loaded = _load_unit(machine, module)
         thread = process.create_thread(loaded.code_base)
         thread.regs[8] = loaded.code_base
         if op is Op.PUSH:
@@ -428,12 +491,10 @@ def test_cache_evicts_least_recently_used_at_its_bound(cache, monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def test_instrumented_kernel_takes_no_fallback_steps():
+def test_instrumented_kernel_takes_no_fallback_steps(monkeypatch):
     """Slice boundaries land mid-unit constantly on traced code; partial
-    runs cover them, so no instruction runs as a lone tier-2 step.
-    Bound units hold their own handler references (for their ``SYS``/
-    ``CALLX`` terminators), so counting wrappers installed on
-    ``loaded.handlers`` after binding see only per-instruction steps."""
+    runs cover them, so the block engine never falls back to the
+    reference interpreter's per-instruction ``Machine.step``."""
     module = compile_source(benchmark_named("parser").source, "parser")
     module = instrument_module(module, InstrumentConfig()).module
     machine = Machine(engine="block")
@@ -443,15 +504,13 @@ def test_instrumented_kernel_takes_no_fallback_steps():
     process.start()
     table = blocks.bind_units(loaded)
     steps = []
+    reference_step = Machine.step
 
-    def counting(handler):
-        def step(machine, thread):
-            steps.append(thread.pc)
-            handler(machine, thread)
+    def counting_step(machine, thread):
+        steps.append(thread.pc)
+        reference_step(machine, thread)
 
-        return step
-
-    loaded.handlers = [counting(h) for h in loaded.handlers]
+    monkeypatch.setattr(Machine, "step", counting_step)
     assert machine.run(max_cycles=5_000_000) == "done"
     assert loaded.block_table is table
     assert sum(t.instructions for t in process.threads.values()) > 100_000

@@ -1,13 +1,13 @@
 """Differential execution: the tier-3 block engine must be bit-identical
 to the reference interpreter.
 
-The block engine (:mod:`repro.vm.blocks`, with the predecoded handlers
-of :mod:`repro.vm.dispatch` as its terminators) is only admissible if
-no program can tell it apart from ``Machine.step()``.  These tests run
-the same module under both engines and compare the
-*complete* architectural outcome: final registers, TLS, memory contents,
-trace-buffer words, exception codes and PCs, cycle and instruction
-counts, and program output.
+The block engine (:mod:`repro.vm.blocks`, whose compiled units carry
+every instruction, terminators included) is the only other
+implementation of the ISA and is only admissible if no program can
+tell it apart from ``Machine.step()``.  These tests run the same module
+under both engines and compare the *complete* architectural outcome:
+final registers, TLS, memory contents, trace-buffer words, exception
+codes and PCs, cycle and instruction counts, and program output.
 
 Coverage comes from two directions:
 
