@@ -2,8 +2,9 @@
 
 Measures guest instructions per second for every engine tier on a
 representative slice of the specint workload suite, plus trace-record
-decode throughput (scalar oracle vs the vectorized bulk scanners), and
-records the results in ``BENCH_interpreter.json`` at the repo root.
+decode throughput (the resync scan's scalar reference vs its vectorized
+bulk form), and records the results in ``BENCH_interpreter.json`` at
+the repo root.
 
 Tier 3 exists to make the simulation usable at paper-scale workloads;
 this benchmark holds it to its contract:
@@ -12,8 +13,10 @@ this benchmark holds it to its contract:
   >= 4x geometric-mean speedup over ``Machine.step()`` in the in-test
   floor (the recorded numbers run >= 5x; the floor leaves noise
   headroom on busy CI boxes);
-* bulk decode (:func:`repro.runtime.records.read_forward_bulk` and the
-  salvage resync scanner): >= 3x the scalar oracle's word throughput;
+* bulk decode (:func:`repro.runtime.records.read_forward_salvage_bulk`,
+  the only record scanner production code runs): >= 3x the word
+  throughput of its scalar reference
+  (:func:`~repro.runtime.records.read_forward_salvage`);
 * identical program output and cycle counts across tiers (the
   differential suite in ``tests/vm/test_differential.py`` checks full
   state; this cross-checks the summary numbers on the real workloads).
@@ -43,8 +46,8 @@ from repro.runtime.records import (
     DagRecord,
     ExtKind,
     ExtRecord,
-    read_forward,
-    read_forward_bulk,
+    read_forward_salvage,
+    read_forward_salvage_bulk,
 )
 from repro.workloads.harness import format_table, run_once
 from repro.workloads.specint import benchmark_named
@@ -132,18 +135,22 @@ def _decode_subject() -> list[int]:
 
 
 def _measure_decode() -> dict:
-    """Scalar vs bulk forward-decode throughput on the synthetic ring."""
+    """Scalar vs bulk resync-scan throughput on the synthetic ring."""
     words = _decode_subject()
     n = len(words)
     _DAG_CACHE.clear()  # the bulk path earns its warm cache itself
     results = {}
-    for label, scanner in (("scalar", read_forward), ("bulk", read_forward_bulk)):
+    for label, scanner in (
+        ("scalar", read_forward_salvage),
+        ("bulk", read_forward_salvage_bulk),
+    ):
         best = None
         records = None
         for _ in range(REPEATS):
             start = time.perf_counter()
-            records = scanner(words, 0, n)
+            records, lost = scanner(words, 0, n)
             seconds = time.perf_counter() - start
+            assert lost == 0
             if best is None or seconds < best:
                 best = seconds
         results[label] = {

@@ -2,8 +2,8 @@
 # Repo check entry points.
 #
 #   scripts/check.sh test-fast   default lane: everything not marked slow
-#                                (the tier-1 gate: 1330 tests, 46-54 s,
-#                                47-55 s wall on a 2-core host)
+#                                (the tier-1 gate: 1337 tests, 53-56 s,
+#                                55-57 s wall on a 2-core host)
 #   scripts/check.sh test-all    full lane: fast tests + slow tests +
 #                                every paper-table benchmark
 #   scripts/check.sh chaos       fault-injection suite: every chaos

@@ -41,7 +41,7 @@ from repro.runtime.records import (
     INVALID,
     MAX_DAG_ID,
     SENTINEL,
-    read_forward,
+    read_forward_salvage_bulk,
 )
 
 #: MODULE_EVENT inline payloads used for Python call/return markers.
@@ -325,9 +325,12 @@ class PyTracer:
                 (current + 1 + i) % ring.sub_count for i in range(ring.sub_count)
             ]
         for sub in order:
-            records.extend(
-                read_forward(ring.words, ring.sub_start(sub), ring.sub_end(sub))
+            # The ring lives in this process and only the tracer writes
+            # it, so the scan has nothing to lose here.
+            sub_records, _lost = read_forward_salvage_bulk(
+                ring.words, ring.sub_start(sub), ring.sub_end(sub)
             )
+            records.extend(sub_records)
         return records
 
     def _to_step(self, record, by_dag):

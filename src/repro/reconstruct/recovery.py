@@ -12,10 +12,12 @@ data.  Threads are split on THREAD_START / THREAD_END records; a leading
 anonymous span (its THREAD_START overwritten by wrap) is attributed to
 the closing THREAD_END's tid, or to the buffer's current owner.
 
-Two recovery disciplines coexist:
+Two recovery disciplines coexist, mining with the same resync scan
+(:func:`~repro.runtime.records.read_forward_salvage_bulk`):
 
-* **strict** (the default): any integrity violation raises
-  :class:`RecoveryError` — the right behaviour for tests and for
+* **strict** (the default): any integrity violation — including a
+  single word the scan could not place in a record — raises
+  :class:`RecoveryError`: the right behaviour for tests and for
   pipelines that must not silently accept damaged evidence;
 * **salvage**: every buffer yields whatever records survive, plus a
   :class:`SalvageReport` accounting for what was lost and why.  This is
@@ -26,29 +28,14 @@ Two recovery disciplines coexist:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from repro.runtime.buffers import BufferFlags, HEADER_WORDS, MAGIC
 from repro.runtime.records import (
-    _CLS_AMB,
-    _CLS_DAG,
-    _CLS_HDR,
-    _CLS_LOW,
-    _DAG_RUN,
-    INVALID,
-    SENTINEL,
     ExtKind,
     ExtRecord,
     Record,
-    _classify,
-    _decode_dag_run,
-    decode_dag,
-    is_dag_word,
-    is_ext_header,
-    is_ext_trailer,
-    read_forward,
-    read_forward_bulk,
+    read_forward_salvage_bulk,
 )
 from repro.runtime.snap import BufferDump
 
@@ -199,184 +186,27 @@ def sub_buffer_order(dump: BufferDump) -> list[int]:
 def mine_buffer(dump: BufferDump) -> list[Record]:
     """All records in one buffer, oldest first (§4.1).
 
-    Each sub-buffer is scanned forward from its base to the last
-    non-zero, record-aligned entry; sub-buffers are concatenated in
-    commit order.  Decoding goes through the bulk scanner
-    (:func:`~repro.runtime.records.read_forward_bulk`), which is
-    output-identical to the scalar oracle.
+    Each sub-buffer is mined by the resync scan
+    (:func:`~repro.runtime.records.read_forward_salvage_bulk`) from its
+    base to its last non-zero entry; sub-buffers are concatenated in
+    commit order.  Strict: a sub-buffer that loses any word — garbage,
+    a record whose trailer disagrees, a zeroed hole before written
+    data — raises :class:`RecoveryError` naming it.
     """
     verify_buffer(dump)
     records: list[Record] = []
     for sub in sub_buffer_order(dump):
         start = HEADER_WORDS + sub * dump.sub_size
         end = start + dump.sub_size - 1  # exclusive of the sentinel
-        records.extend(read_forward_bulk(dump.words, start, end))
+        sub_records, lost = read_forward_salvage_bulk(dump.words, start, end)
+        if lost:
+            raise RecoveryError(
+                f"buffer {dump.index}: sub-buffer {sub}: {lost} of "
+                f"{end - start} words lost (unparseable, or zeroed "
+                "before written data)"
+            )
+        records.extend(sub_records)
     return records
-
-
-def mine_buffer_backward(dump: BufferDump) -> list[Record]:
-    """§4.1's literal strategy: mine each sub-buffer "back-to-front
-    (newest record to oldest)".
-
-    The record trailers exist precisely so this direction works; it must
-    agree with :func:`mine_buffer` on any runtime-produced buffer (see
-    ``tests/reconstruct/test_recovery.py``), and is the variant a
-    recovery tool would use when the forward scan is cut short by
-    corruption at the front of a sub-buffer.
-    """
-    from repro.runtime.records import read_backward_bulk
-
-    verify_buffer(dump)
-    records: list[Record] = []
-    words = dump.words
-    for sub in sub_buffer_order(dump):
-        start = HEADER_WORDS + sub * dump.sub_size
-        end = start + dump.sub_size - 1  # the sentinel position
-        # Find the last non-zero, record-aligned entry: walk back over
-        # zeroed tail space first.
-        last = end - 1
-        while last >= start and words[last] == INVALID:
-            last -= 1
-        if last < start:
-            continue
-        records.extend(read_backward_bulk(words, last, start))
-    return records
-
-
-def read_forward_salvage(
-    words: list[int], start: int, end: int
-) -> tuple[list[Record], int]:
-    """Resynchronizing forward scan for damaged data.
-
-    Unlike :func:`~repro.runtime.records.read_forward`, garbage does not
-    end the scan: unparseable words are skipped one at a time until the
-    stream realigns on something that decodes.  Multi-word extended
-    records are only accepted when their trailer agrees with the header
-    (the trailer exists precisely to make this check possible), so a
-    bit-flipped length field cannot swallow the rest of the sub-buffer.
-
-    Returns ``(records, words_skipped)``.  On undamaged data this agrees
-    exactly with the strict scanner.
-    """
-    records: list[Record] = []
-    skipped = 0
-    idx = start
-    while idx < end:
-        word = words[idx]
-        if word == INVALID or word == SENTINEL:
-            # Zeroed space — either the legitimate unwritten tail or a
-            # zeroed-out hole; indistinguishable, so walk through it.
-            idx += 1
-            continue
-        if is_dag_word(word):
-            records.append(decode_dag(word))
-            idx += 1
-            continue
-        if is_ext_header(word):
-            kind = (word >> 24) & 0x1F
-            length = (word >> 16) & 0xFF
-            inline = word & 0xFFFF
-            if length == 0:
-                records.append(ExtRecord(kind, inline))
-                idx += 1
-                continue
-            trailer_idx = idx + length + 1
-            if trailer_idx < end:
-                trailer = words[trailer_idx]
-                if (
-                    is_ext_trailer(trailer)
-                    and (trailer >> 24) & 0x1F == kind
-                    and (trailer >> 16) & 0xFF == length
-                ):
-                    payload = tuple(words[idx + 1 : trailer_idx])
-                    records.append(ExtRecord(kind, inline, payload))
-                    idx = trailer_idx + 1
-                    continue
-            # Header without a matching trailer: damaged or truncated
-            # mid-write.  Skip just this word and resync.
-            skipped += 1
-            idx += 1
-            continue
-        # Trailer in header position, or garbage that matches nothing.
-        skipped += 1
-        idx += 1
-    return records, skipped
-
-
-#: Runs the bulk salvage scan consumes whole: zeroed space (class 'z'),
-#: and junk that can never start a record (trailer 't' / garbage 'g').
-_ZERO_RUN = re.compile(b"z+")
-_JUNK_RUN = re.compile(b"[tg]+")
-
-
-def read_forward_salvage_bulk(
-    words: list[int], start: int, end: int
-) -> tuple[list[Record], int]:
-    """Bulk counterpart of :func:`read_forward_salvage`.
-
-    Classifies the whole span once and consumes runs — DAG records,
-    zeroed space, unparseable junk — in bulk, falling back to the scalar
-    scanner when the span holds non-word values (hand-damaged dumps).
-    Output-identical to :func:`read_forward_salvage` on every input.
-    """
-    if end <= start:
-        return [], 0
-    packed = _classify(words, start, end)
-    if packed is None:
-        return read_forward_salvage(words, start, end)
-    arr, classes = packed
-    n = end - start
-    records: list[Record] = []
-    skipped = 0
-    idx = 0
-    while idx < n:
-        cls = classes[idx]
-        if cls == _CLS_DAG:
-            run_end = _DAG_RUN.match(classes, idx).end()
-            _decode_dag_run(arr, idx, run_end, records)
-            idx = run_end
-        elif cls == _CLS_LOW:
-            # Zeroed space walks through uncounted; nonzero low-byte
-            # garbage is skipped — tally both for the run at once.
-            run_end = _ZERO_RUN.match(classes, idx).end()
-            skipped += (run_end - idx) - arr[idx:run_end].count(0)
-            idx = run_end
-        elif cls == _CLS_HDR:
-            word = arr[idx]
-            kind = (word >> 24) & 0x1F
-            length = (word >> 16) & 0xFF
-            inline = word & 0xFFFF
-            if length == 0:
-                records.append(ExtRecord(kind, inline))
-                idx += 1
-                continue
-            trailer_idx = idx + length + 1
-            if trailer_idx < n:
-                trailer = arr[trailer_idx]
-                if (
-                    (trailer >> 29) == 0b011
-                    and (trailer >> 24) & 0x1F == kind
-                    and (trailer >> 16) & 0xFF == length
-                ):
-                    payload = tuple(arr[idx + 1 : trailer_idx])
-                    records.append(ExtRecord(kind, inline, payload))
-                    idx = trailer_idx + 1
-                    continue
-            # Header without a matching trailer: damaged or truncated
-            # mid-write.  Skip just this word and resync.
-            skipped += 1
-            idx += 1
-        elif cls == _CLS_AMB:
-            if arr[idx] == SENTINEL:
-                idx += 1
-            else:
-                _decode_dag_run(arr, idx, idx + 1, records)
-                idx += 1
-        else:
-            run_end = _JUNK_RUN.match(classes, idx).end()
-            skipped += run_end - idx
-            idx = run_end
-    return records, skipped
 
 
 def mine_buffer_salvage(dump: BufferDump) -> tuple[list[Record], SalvageReport]:
@@ -418,8 +248,8 @@ def mine_buffer_salvage(dump: BufferDump) -> tuple[list[Record], SalvageReport]:
     if report.words_skipped and REASON_GARBAGE_WORDS not in report.reasons:
         report.note(
             REASON_GARBAGE_WORDS,
-            f"buffer {dump.index}: {report.words_skipped} unparseable "
-            "words skipped",
+            f"buffer {dump.index}: {report.words_skipped} words skipped "
+            "(unparseable, or zeroed before written data)",
         )
     report.records_recovered = len(records)
     return records, report

@@ -19,9 +19,9 @@ Container format v2 (``TBSZ2``)::
 
 The CRC32 per blob and the body-length word exist because snaps travel:
 a connection cut mid-transfer used to yield a silently short word list
-or a raw ``struct.error``.  v1 containers (no checksums) remain
-readable.  :func:`salvage_decompress` recovers what it can from a torn
-or bit-flipped container instead of raising.
+or a raw ``struct.error``.  A blob marker without its CRC is damage like
+a CRC mismatch.  :func:`salvage_decompress` recovers what it can from a
+torn or bit-flipped container instead of raising.
 """
 
 from __future__ import annotations
@@ -36,11 +36,8 @@ from array import array
 
 from repro.runtime.snap import SnapFile
 
-#: Magic prefix of current (checksummed) compressed snap containers.
+#: Magic prefix of compressed snap containers.
 MAGIC = b"TBSZ2\n"
-
-#: Magic prefix of legacy containers (no checksums, no length word).
-MAGIC_V1 = b"TBSZ1\n"
 
 
 class ArchiveError(ValueError):
@@ -78,38 +75,47 @@ def unpack_words(data: bytes) -> list[int]:
     return unpacked.tolist()
 
 
-def _pack_body(snap: SnapFile, with_crc: bool) -> bytes:
+def _pack_body(snap: SnapFile) -> bytes:
     payload = snap.to_dict()
     blobs: list[bytes] = []
     for buffer in payload["buffers"]:
         blob = pack_words(buffer["words"])
-        marker = ["blob", len(blobs), len(blob)]
-        if with_crc:
-            marker.append(zlib.crc32(blob))
-        buffer["words"] = marker
+        buffer["words"] = ["blob", len(blobs), len(blob), zlib.crc32(blob)]
         blobs.append(blob)
     header = json.dumps(payload).encode()
     return _U32.pack(len(header)) + header + b"".join(blobs)
 
 
-def compress_snap(snap: SnapFile, level: int = 6, version: int = 2) -> bytes:
+def compress_snap(snap: SnapFile, level: int = 6) -> bytes:
     """One self-contained compressed artifact for a snap.
 
     Buffer words are packed as raw little-endian 32-bit data (where the
     repetitive structure lives) and the metadata rides along as JSON;
-    the whole payload is deflated.  ``version=1`` writes the legacy
-    un-checksummed container (kept for compatibility tests).
+    the whole payload is deflated.
     """
-    if version == 1:
-        return MAGIC_V1 + zlib.compress(_pack_body(snap, with_crc=False), level)
-    body = _pack_body(snap, with_crc=True)
+    body = _pack_body(snap)
     return MAGIC + _U32.pack(len(body)) + zlib.compress(body, level)
+
+
+def _check_blob(marker: list, blob: bytes) -> tuple[str, str | None]:
+    """``(crc state, problem)`` for the blob a ``["blob", index, size,
+    crc32]`` marker names: ``"ok"`` with no problem, or ``"truncated"``,
+    ``"missing"`` (a marker without its CRC) or ``"mismatch"``."""
+    size = marker[2]
+    if len(blob) < size:
+        return "truncated", f"blob truncated ({len(blob)}/{size} bytes survive)"
+    if len(marker) < 4:
+        return "missing", "blob marker carries no CRC"
+    if zlib.crc32(blob) != marker[3]:
+        return "mismatch", "blob CRC mismatch (corrupt words)"
+    return "ok", None
 
 
 def _parse_body(
     body: bytes, strict: bool, notes: list[str]
 ) -> SnapFile | None:
-    """Shared v1/v2 body parser.
+    """Body parser shared by :func:`decompress_snap` and
+    :func:`salvage_decompress`.
 
     In strict mode any damage raises :class:`ArchiveError`; otherwise
     problems land in ``notes`` and damaged blobs are recovered as far as
@@ -141,27 +147,15 @@ def _parse_body(
         marker = buffer.get("words")
         if not (isinstance(marker, list) and marker and marker[0] == "blob"):
             continue
-        size = marker[2]
-        crc = marker[3] if len(marker) > 3 else None
-        blob = body[cursor : cursor + size]
-        if len(blob) < size:
-            message = (
-                f"buffer {buffer.get('index', '?')}: blob truncated "
-                f"({len(blob)}/{size} bytes survive)"
-            )
-            if strict:
-                raise ArchiveError(message)
-            notes.append(message)
-        elif crc is not None and zlib.crc32(blob) != crc:
-            message = (
-                f"buffer {buffer.get('index', '?')}: blob CRC mismatch "
-                "(corrupt words)"
-            )
+        blob = body[cursor : cursor + marker[2]]
+        _, problem = _check_blob(marker, blob)
+        if problem:
+            message = f"buffer {buffer.get('index', '?')}: {problem}"
             if strict:
                 raise ArchiveError(message)
             notes.append(message)
         buffer["words"] = unpack_words(blob)
-        cursor += size
+        cursor += marker[2]
     if strict:
         return SnapFile.from_dict(payload)
     snap, field_notes = SnapFile.from_dict_salvage(payload)
@@ -198,13 +192,7 @@ def _inflate_partial(compressed: bytes) -> bytes:
 
 def decompress_snap(data: bytes) -> SnapFile:
     """Inverse of :func:`compress_snap`.  Raises :class:`ArchiveError`
-    on any damage (truncation, tearing, CRC mismatch)."""
-    if data.startswith(MAGIC_V1):
-        try:
-            body = zlib.decompress(data[len(MAGIC_V1):])
-        except zlib.error as exc:
-            raise ArchiveError(f"container deflate stream damaged: {exc}") from exc
-        return _parse_body(body, strict=True, notes=[])
+    on any damage (truncation, tearing, a missing or mismatched CRC)."""
     if not data.startswith(MAGIC):
         raise ArchiveError("not a compressed snap container")
     if len(data) < len(MAGIC) + 4:
@@ -231,22 +219,18 @@ def salvage_decompress(data: bytes) -> tuple[SnapFile | None, list[str]]:
     Never raises on damage.
     """
     notes: list[str] = []
-    if data.startswith(MAGIC_V1):
-        compressed = data[len(MAGIC_V1):]
-        declared = None
-    elif data.startswith(MAGIC):
-        if len(data) < len(MAGIC) + 4:
-            return None, ["container truncated before the length word"]
-        (declared,) = _U32.unpack(data[len(MAGIC) : len(MAGIC) + 4])
-        compressed = data[len(MAGIC) + 4 :]
-    else:
+    if not data.startswith(MAGIC):
         return None, ["not a compressed snap container"]
+    if len(data) < len(MAGIC) + 4:
+        return None, ["container truncated before the length word"]
+    (declared,) = _U32.unpack(data[len(MAGIC) : len(MAGIC) + 4])
+    compressed = data[len(MAGIC) + 4 :]
     try:
         body = zlib.decompress(compressed)
     except zlib.error as exc:
         notes.append(f"deflate stream damaged: {exc}")
         body = _inflate_partial(compressed)
-    if declared is not None and len(body) != declared:
+    if len(body) != declared:
         notes.append(
             f"length check failed: {len(body)}/{declared} bytes recovered"
         )
@@ -323,31 +307,25 @@ def inspect_container(data: bytes) -> dict:
         "meta": None,
         "problems": [],
     }
-    if data.startswith(MAGIC_V1):
-        info["version"] = 1
-        compressed = data[len(MAGIC_V1):]
-        declared = None
-    elif data.startswith(MAGIC):
-        info["version"] = 2
-        if len(data) < len(MAGIC) + 4:
-            info["problems"].append("container truncated before the length word")
-            return info
-        (declared,) = _U32.unpack(data[len(MAGIC) : len(MAGIC) + 4])
-        compressed = data[len(MAGIC) + 4 :]
-    else:
+    if not data.startswith(MAGIC):
         info["problems"].append("not a compressed snap container")
         return info
+    info["version"] = 2
+    if len(data) < len(MAGIC) + 4:
+        info["problems"].append("container truncated before the length word")
+        return info
+    (declared,) = _U32.unpack(data[len(MAGIC) : len(MAGIC) + 4])
+    compressed = data[len(MAGIC) + 4 :]
     try:
         body = zlib.decompress(compressed)
     except zlib.error as exc:
         info["problems"].append(f"deflate stream damaged: {exc}")
         body = _inflate_partial(compressed)
-    if declared is not None:
-        info["length_ok"] = len(body) == declared
-        if not info["length_ok"]:
-            info["problems"].append(
-                f"length check failed: {len(body)}/{declared} bytes"
-            )
+    info["length_ok"] = len(body) == declared
+    if not info["length_ok"]:
+        info["problems"].append(
+            f"length check failed: {len(body)}/{declared} bytes"
+        )
     if len(body) < 4:
         info["problems"].append("container body too short for a header")
         return info
@@ -381,40 +359,25 @@ def inspect_container(data: bytes) -> dict:
         ),
     }
     cursor = 4 + header_len
-    all_ok: bool | None = None
+    info["crc_ok"] = True
     for buffer in payload.get("buffers", []):
         marker = buffer.get("words")
         if not (isinstance(marker, list) and marker and marker[0] == "blob"):
             continue
-        size = marker[2]
-        crc = marker[3] if len(marker) > 3 else None
-        blob = body[cursor : cursor + size]
-        entry = {
-            "index": buffer.get("index"),
-            "bytes": size,
-            "present": len(blob),
-        }
-        if len(blob) < size:
-            entry["crc"] = "truncated"
-            all_ok = False
+        blob = body[cursor : cursor + marker[2]]
+        state, problem = _check_blob(marker, blob)
+        if problem:
+            info["crc_ok"] = False
             info["problems"].append(
-                f"buffer {buffer.get('index', '?')}: blob truncated "
-                f"({len(blob)}/{size} bytes)"
+                f"buffer {buffer.get('index', '?')}: {problem}"
             )
-        elif crc is None:
-            entry["crc"] = "absent"
-        else:
-            ok = zlib.crc32(blob) == crc
-            entry["crc"] = "ok" if ok else "mismatch"
-            if not ok:
-                info["problems"].append(
-                    f"buffer {buffer.get('index', '?')}: blob CRC mismatch"
-                )
-            if all_ok is None:
-                all_ok = ok
-            else:
-                all_ok = all_ok and ok
-        info["blobs"].append(entry)
-        cursor += size
-    info["crc_ok"] = all_ok
+        info["blobs"].append(
+            {
+                "index": buffer.get("index"),
+                "bytes": marker[2],
+                "present": len(blob),
+                "crc": state,
+            }
+        )
+        cursor += marker[2]
     return info

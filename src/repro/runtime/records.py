@@ -34,8 +34,10 @@ timestamps, exceptions, thread lifecycle::
 Multi-word extended records are ``header, payload..., trailer`` where
 the trailer repeats subtype and length with bit 29 set.  The trailer is
 an implementation addition the paper doesn't spell out: it lets the
-back-to-front record mining of §4.1 skip payload words (which can hold
-arbitrary bit patterns) without mis-parsing them as records.
+resync scan (:func:`read_forward_salvage_bulk`) validate a multi-word
+record, accepting a header only when the word its length points at is
+the matching trailer, so payload words (which can hold arbitrary bit
+patterns) and a damaged length field are never mis-parsed as records.
 """
 
 from __future__ import annotations
@@ -177,53 +179,71 @@ def decode_dag(word: int) -> DagRecord:
                      path_bits=word & _PATH_MASK)
 
 
-def read_forward(words: list[int], start: int, end: int) -> list[Record]:
-    """Record-aligned forward scan of ``words[start:end]``.
+# ----------------------------------------------------------------------
+# Mining: the resync scan
+#
+# One scan serves both recovery disciplines.  It walks a sub-buffer's
+# span front to back and accounts for every word: each one is part of a
+# record, part of the unwritten tail (the zeros after the last non-zero
+# word, where the runtime had not written yet), or lost.  A lost word —
+# garbage, a trailer in header position, the sentinel, a header whose
+# trailer disagrees, or a zero with written data after it (a hole: the
+# runtime only ever leaves zeros at a sub-buffer's tail) — is skipped
+# and the scan resyncs on the next word.  Strict recovery refuses a span
+# that lost any word; salvage keeps the records and reports the count.
+# ----------------------------------------------------------------------
 
-    Stops at the first INVALID word in header position (zeroed space) or
-    at the sentinel.  This is how sub-buffers are mined: forward from
-    the sub-buffer base to "the last non-zero entry".
+
+def read_forward_salvage(
+    words: list[int], start: int, end: int
+) -> tuple[list[Record], int]:
+    """Scalar reference for :func:`read_forward_salvage_bulk`.
+
+    Returns ``(records, words_lost)`` for ``words[start:end]``.  Kept as
+    the plain statement of the scan's rules for the differential tests
+    and the decode benchmark; production code runs the bulk scan.
     """
+    while end > start and words[end - 1] == INVALID:
+        end -= 1  # the unwritten tail
     records: list[Record] = []
+    lost = 0
     idx = start
     while idx < end:
         word = words[idx]
-        if word == INVALID or word == SENTINEL:
-            break
         if is_dag_word(word):
             records.append(decode_dag(word))
             idx += 1
-        elif is_ext_header(word):
+            continue
+        if is_ext_header(word):
             kind = (word >> 24) & 0x1F
             length = (word >> 16) & 0xFF
-            inline = word & 0xFFFF
             if length == 0:
-                records.append(ExtRecord(kind, inline))
+                records.append(ExtRecord(kind, word & 0xFFFF))
                 idx += 1
-            else:
-                if idx + length + 2 > end:
-                    break  # truncated record (abrupt kill mid-write)
-                payload = tuple(words[idx + 1 : idx + 1 + length])
-                records.append(ExtRecord(kind, inline, payload))
-                idx += length + 2
-        else:
-            break  # unrecognized garbage: stop mining this span
-    return records
+                continue
+            trailer_idx = idx + length + 1
+            if trailer_idx < end:
+                trailer = words[trailer_idx]
+                if (
+                    is_ext_trailer(trailer)
+                    and (trailer >> 24) & 0x1F == kind
+                    and (trailer >> 16) & 0xFF == length
+                ):
+                    payload = tuple(words[idx + 1 : trailer_idx])
+                    records.append(ExtRecord(kind, word & 0xFFFF, payload))
+                    idx = trailer_idx + 1
+                    continue
+        lost += 1
+        idx += 1
+    return records, lost
 
 
-# ----------------------------------------------------------------------
-# Bulk (vectorized) decoding
-#
-# The scalar scanners above run a Python-level type dispatch per word.
-# On real trace buffers the stream is overwhelmingly DAG records — one
-# word each — so the per-word interpreter overhead dominates decode
-# time.  The bulk path classifies every word of a span at once (array
-# pack -> high-byte extraction -> bytes.translate) and then consumes
-# *runs* of same-class words with one regex match and one bulk append,
-# touching Python-level control flow only at class changes.  The scalar
-# scanners stay as the oracle: on any input the bulk functions return
-# exactly what they return (see tests/reconstruct/test_bulk_decode.py).
-# ----------------------------------------------------------------------
+# The bulk scan classifies every word of a span at once (array pack ->
+# high-byte extraction -> bytes.translate) and then consumes *runs* of
+# same-class words with one regex match, touching Python-level control
+# flow only at class changes: trace buffers are overwhelmingly one-word
+# DAG records, so the per-word dispatch of the scalar reference is what
+# it saves (``bench_interpreter.py``'s decode section holds it to >=3x).
 
 #: Byte offset of a word's high byte inside its packed 4-byte cell.
 _HB_OFFSET = 3 if sys.byteorder == "little" else 0
@@ -234,14 +254,10 @@ _HB_OFFSET = 3 if sys.byteorder == "little" else 0
 _CLS_DAG = 0x64  # ord('d'): 0x80..0xFE — definitely a DAG record
 _CLS_AMB = 0x66  # ord('f'): 0xFF — DAG record or SENTINEL
 _CLS_HDR = 0x68  # ord('h'): 0x40..0x5F — extended-record header
-_CLS_TRL = 0x74  # ord('t'): 0x60..0x7F — extended-record trailer
-_CLS_LOW = 0x7A  # ord('z'): 0x00 — INVALID (if the word is 0) or garbage
-_CLS_BAD = 0x67  # ord('g'): anything else — garbage
+_CLS_BAD = 0x67  # ord('g'): anything else — can never start a record
 
 _CLASS_TABLE = bytes(
-    _CLS_LOW if hb == 0x00
-    else _CLS_HDR if 0x40 <= hb <= 0x5F
-    else _CLS_TRL if 0x60 <= hb <= 0x7F
+    _CLS_HDR if 0x40 <= hb <= 0x5F
     else _CLS_AMB if hb == 0xFF
     else _CLS_DAG if hb >= 0x80
     else _CLS_BAD
@@ -249,24 +265,13 @@ _CLASS_TABLE = bytes(
 )
 
 _DAG_RUN = re.compile(b"d+")
-_DAG_TAIL = re.compile(b"d+$")
+_BAD_RUN = re.compile(b"g+")
 
 #: Decoded-record cache: DAG records are frozen, and hot traces repeat a
 #: small working set of (dag id, path bits) words, so decoding becomes a
 #: dict hit.  Bounded to keep pathological inputs from hoarding memory.
 _DAG_CACHE: dict[int, DagRecord] = {}
 _DAG_CACHE_LIMIT = 1 << 16
-
-
-def _classify(words: list[int], start: int, end: int):
-    """``(array, class bytes)`` for ``words[start:end]``, or ``None``
-    when the span cannot be packed (non-word values in salvaged dumps —
-    the callers fall back to the scalar scanners)."""
-    try:
-        arr = array("I", words[start:end])
-    except (OverflowError, TypeError, ValueError):
-        return None
-    return arr, arr.tobytes()[_HB_OFFSET::4].translate(_CLASS_TABLE)
 
 
 def _decode_dag_run(arr, lo: int, hi: int, records: list[Record]) -> None:
@@ -286,16 +291,22 @@ def _decode_dag_run(arr, lo: int, hi: int, records: list[Record]) -> None:
         append(record)
 
 
-def read_forward_bulk(words: list[int], start: int, end: int) -> list[Record]:
-    """Bulk counterpart of :func:`read_forward` — identical output."""
-    if end <= start:
-        return []
-    packed = _classify(words, start, end)
-    if packed is None:
-        return read_forward(words, start, end)
-    arr, classes = packed
-    n = end - start
+def read_forward_salvage_bulk(
+    words: list[int], start: int, end: int
+) -> tuple[list[Record], int]:
+    """The resync scan of ``words[start:end]``: ``(records, words_lost)``.
+
+    Output-identical to :func:`read_forward_salvage` on every input.
+    ``words`` must hold 32-bit words; loading a snap guarantees that
+    (:meth:`~repro.runtime.snap.SnapFile.from_dict` refuses anything
+    else).
+    """
+    arr = array("I", words[start:end])
+    packed = arr.tobytes()
+    n = (len(packed.rstrip(b"\0")) + 3) // 4  # sans the unwritten tail
+    classes = packed[_HB_OFFSET : 4 * n : 4].translate(_CLASS_TABLE)
     records: list[Record] = []
+    lost = 0
     idx = 0
     while idx < n:
         cls = classes[idx]
@@ -305,122 +316,34 @@ def read_forward_bulk(words: list[int], start: int, end: int) -> list[Record]:
             idx = run_end
         elif cls == _CLS_HDR:
             word = arr[idx]
-            kind = (word >> 24) & 0x1F
             length = (word >> 16) & 0xFF
-            inline = word & 0xFFFF
             if length == 0:
-                records.append(ExtRecord(kind, inline))
+                records.append(ExtRecord((word >> 24) & 0x1F, word & 0xFFFF))
                 idx += 1
+                continue
+            trailer_idx = idx + length + 1
+            # The trailer is the header with the trailer flag set; its
+            # inline half is unused.
+            if (
+                trailer_idx < n
+                and arr[trailer_idx] >> 16 == (word | _TRAILER_FLAG) >> 16
+            ):
+                payload = tuple(arr[idx + 1 : trailer_idx])
+                records.append(
+                    ExtRecord((word >> 24) & 0x1F, word & 0xFFFF, payload)
+                )
+                idx = trailer_idx + 1
             else:
-                if idx + length + 2 > n:
-                    break  # truncated record (abrupt kill mid-write)
-                payload = tuple(arr[idx + 1 : idx + 1 + length])
-                records.append(ExtRecord(kind, inline, payload))
-                idx += length + 2
+                lost += 1
+                idx += 1
         elif cls == _CLS_AMB:
-            word = arr[idx]
-            if word == SENTINEL:
-                break
-            _decode_dag_run(arr, idx, idx + 1, records)
+            if arr[idx] == SENTINEL:
+                lost += 1
+            else:
+                _decode_dag_run(arr, idx, idx + 1, records)
             idx += 1
         else:
-            # INVALID, trailer in header position, or garbage: the
-            # scalar scanner stops mining here in every case.
-            break
-    return records
-
-
-def read_backward_bulk(words: list[int], last: int, first: int) -> list[Record]:
-    """Bulk counterpart of :func:`read_backward` — identical output."""
-    if last < first:
-        return []
-    packed = _classify(words, first, last + 1)
-    if packed is None:
-        return read_backward(words, last, first)
-    arr, classes = packed
-    chunks: list[list[Record]] = []
-    idx = last - first
-    while idx >= 0:
-        cls = classes[idx]
-        if cls == _CLS_DAG:
-            run_start = _DAG_TAIL.search(classes, 0, idx + 1).start()
-            chunk: list[Record] = []
-            _decode_dag_run(arr, run_start, idx + 1, chunk)
-            chunks.append(chunk)
-            idx = run_start - 1
-        elif cls == _CLS_TRL:
-            word = arr[idx]
-            kind = (word >> 24) & 0x1F
-            length = (word >> 16) & 0xFF
-            head_idx = idx - length - 1
-            if head_idx < 0:
-                break  # the header was overwritten: stop
-            header = arr[head_idx]
-            if classes[head_idx] != _CLS_HDR:
-                break
-            payload = tuple(arr[head_idx + 1 : idx])
-            chunks.append([ExtRecord(kind, header & 0xFFFF, payload)])
-            idx = head_idx - 1
-        elif cls == _CLS_HDR:
-            word = arr[idx]
-            if (word >> 16) & 0xFF:
-                break  # mid-payload landing: unrecoverable from behind
-            chunks.append([ExtRecord((word >> 24) & 0x1F, word & 0xFFFF)])
-            idx -= 1
-        elif cls == _CLS_AMB:
-            word = arr[idx]
-            if word == SENTINEL:
-                break
-            chunk = []
-            _decode_dag_run(arr, idx, idx + 1, chunk)
-            chunks.append(chunk)
-            idx -= 1
-        else:
-            break
-    records: list[Record] = []
-    for chunk in reversed(chunks):
-        records.extend(chunk)
-    return records
-
-
-def read_backward(words: list[int], last: int, first: int) -> list[Record]:
-    """Back-to-front mining (§4.1): from index ``last`` (inclusive) down
-    to ``first``; returns records oldest-first.
-
-    Trailer words let multi-word records be skipped from behind.  The
-    scan stops when it hits space that does not parse — exactly the
-    "newest record to oldest" recovery the paper performs on a wrapped
-    buffer where the oldest data may be half-overwritten.
-    """
-    records: list[Record] = []
-    idx = last
-    while idx >= first:
-        word = words[idx]
-        if word == INVALID or word == SENTINEL:
-            break
-        if is_dag_word(word):
-            records.append(decode_dag(word))
-            idx -= 1
-        elif is_ext_trailer(word):
-            kind = (word >> 24) & 0x1F
-            length = (word >> 16) & 0xFF
-            head_idx = idx - length - 1
-            if head_idx < first:
-                break  # the header was overwritten: stop
-            header = words[head_idx]
-            if not is_ext_header(header):
-                break
-            payload = tuple(words[head_idx + 1 : idx])
-            records.append(ExtRecord(kind, header & 0xFFFF, payload))
-            idx = head_idx - 1
-        elif is_ext_header(word):
-            kind = (word >> 24) & 0x1F
-            length = (word >> 16) & 0xFF
-            if length:
-                break  # mid-payload landing: unrecoverable from behind
-            records.append(ExtRecord(kind, word & 0xFFFF))
-            idx -= 1
-        else:
-            break
-    records.reverse()
-    return records
+            run_end = _BAD_RUN.match(classes, idx).end()
+            lost += run_end - idx
+            idx = run_end
+    return records, lost

@@ -27,6 +27,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+from array import array
 from dataclasses import dataclass, field
 
 
@@ -127,6 +128,21 @@ class Suppressor:
             return False
         self._seen.add(key)
         return True
+
+
+def _is_word(value) -> bool:
+    """Whether ``value`` is an int in [0, 2**32)."""
+    return isinstance(value, int) and 0 <= value <= 0xFFFFFFFF
+
+
+def _first_non_word(words: list) -> int | None:
+    """Position of the first value in ``words`` that is not a 32-bit
+    word, or None when there is none."""
+    try:
+        array("I", words)  # the fast check: packs only 32-bit words
+        return None
+    except (OverflowError, TypeError):
+        return next(pos for pos, w in enumerate(words) if not _is_word(w))
 
 
 @dataclass
@@ -233,6 +249,18 @@ class SnapFile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SnapFile":
+        """Strict load: a missing field raises ``KeyError``/``TypeError``,
+        and a buffer word that is not a 32-bit word raises ``ValueError``
+        naming the buffer and the position (the record miner takes
+        buffer words as packed 32-bit data)."""
+        buffers = [BufferDump(**b) for b in d["buffers"]]
+        for buffer in buffers:
+            pos = _first_non_word(buffer.words)
+            if pos is not None:
+                raise ValueError(
+                    f"buffer {buffer.index}: word {pos} is "
+                    f"{buffer.words[pos]!r}, not a 32-bit word"
+                )
         return cls(
             reason=d["reason"],
             detail=dict(d["detail"]),
@@ -241,7 +269,7 @@ class SnapFile:
             machine_name=d["machine_name"],
             clock=d["clock"],
             modules=[ModuleDump(**m) for m in d["modules"]],
-            buffers=[BufferDump(**b) for b in d["buffers"]],
+            buffers=buffers,
             threads=[ThreadDump(**t) for t in d["threads"]],
             memory={k: (v[0], v[1]) for k, v in d["memory"].items()},
             # Deep, not shallow: the nested ndlog is mutated by chaos
@@ -272,19 +300,27 @@ class SnapFile:
 
         def build_buffer(b: dict) -> BufferDump:
             # Coerce aggressively: a buffer whose geometry fields are
-            # garbage is dropped (int() raises), but stray non-integer
-            # words are filtered so the rest of the dump stays mineable.
-            words = [w for w in b.get("words", []) if isinstance(w, int)]
+            # garbage is dropped (int() raises), but a value that is not
+            # a 32-bit word is zeroed in place, so every word after it
+            # keeps its sub-buffer position and the rest stays mineable.
             owner = b.get("owner_tid")
-            return BufferDump(
+            buffer = BufferDump(
                 index=int(b["index"]),
                 flags=int(b["flags"]),
                 base=int(b["base"]),
                 sub_count=int(b["sub_count"]),
                 sub_size=int(b["sub_size"]),
                 owner_tid=None if owner is None else int(owner),
-                words=words,
+                words=list(b.get("words", [])),
             )
+            if _first_non_word(buffer.words) is not None:
+                bad = sum(not _is_word(w) for w in buffer.words)
+                buffer.words = [w if _is_word(w) else 0 for w in buffer.words]
+                notes.append(
+                    f"buffer {buffer.index}: {bad} of {len(buffer.words)} "
+                    "values zeroed (not 32-bit words)"
+                )
+            return buffer
 
         if not isinstance(d, dict):
             d = {}

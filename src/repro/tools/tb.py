@@ -63,10 +63,11 @@ def _fail(message: str) -> int:
 
 
 def _load_snap(path: str, salvage: bool = False) -> tuple[SnapFile, list[str]]:
-    """Read a snap artifact — JSON or a TBSZ* compressed container.
+    """Read a snap artifact — JSON or a TBSZ2 compressed container.
 
     Returns ``(snap, notes)``; raises ``ArchiveError`` / ``ValueError``
-    / ``OSError`` with a human message on damage in strict mode.
+    / ``OSError`` with a human message on damage in strict mode.  Under
+    ``salvage`` either kind loads tolerantly, damage becoming notes.
     """
     with open(path, "rb") as fh:
         head = fh.read(8)
@@ -80,6 +81,9 @@ def _load_snap(path: str, salvage: bool = False) -> tuple[SnapFile, list[str]]:
                 "; ".join(notes) or "container unrecoverable"
             )
         return snap, notes
+    if salvage:
+        with open(path) as fh:
+            return SnapFile.from_dict_salvage(json.load(fh))
     try:
         return SnapFile.load(path), []
     except (KeyError, TypeError) as exc:
@@ -180,7 +184,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     if info["length_ok"] is not None:
         print(f"  length check: {'ok' if info['length_ok'] else 'FAILED'}")
     crc = info["crc_ok"]
-    crc_text = "ok" if crc else "no checksums (v1)" if crc is None else "FAILED"
+    crc_text = "ok" if crc else "unchecked" if crc is None else "FAILED"
     print(f"  blobs: {len(info['blobs'])}, CRC {crc_text}")
     for blob in info["blobs"]:
         print(
@@ -827,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
     info = sub.add_parser(
         "info", help="archive version, blobs, CRC status, snap metadata"
     )
-    info.add_argument("archive", help="TBSZ1/TBSZ2 compressed snap container")
+    info.add_argument("archive", help="TBSZ2 compressed snap container")
     info.set_defaults(fn=cmd_info)
 
     collect = sub.add_parser(

@@ -94,3 +94,32 @@ def test_view_torn_archive_strict_vs_salvage(capsys, tmp_path):
     captured = capsys.readouterr()
     assert rc == 0
     assert "note:" in captured.out
+
+
+@pytest.mark.parametrize("damage", ["malformed-thread", "non-word"])
+def test_view_salvages_a_damaged_json_snap(artifacts, capsys, damage):
+    """``--salvage`` reads JSON snaps tolerantly too: a malformed thread
+    entry or a buffer word that is not a 32-bit word becomes a note,
+    where plain ``view`` refuses the snap in one line."""
+    tmp, snap, mapfile = artifacts
+    doc = json.loads(snap.read_text())
+    if damage == "malformed-thread":
+        doc["threads"][0] = {"tid": 1}
+        expected = "note: thread entry 0: malformed metadata dropped"
+    else:
+        buffer = next(b for b in doc["buffers"] if b["flags"] == 0)
+        buffer["words"][20] = "x"
+        expected = f"note: buffer {buffer['index']}: 1 of "
+    bad = tmp / f"{damage}.json"
+    bad.write_text(json.dumps(doc))
+
+    rc = main(["view", str(bad), str(mapfile)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("tbtrace: error: cannot load snap")
+    assert captured.err.count("\n") == 1
+
+    rc = main(["view", str(bad), str(mapfile), "--salvage"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert expected in captured.out

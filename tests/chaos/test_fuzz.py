@@ -14,8 +14,11 @@ Two contracts under fuzz:
 * **Strict raises on structural damage, with a useful message.**
   "Structural" means damage strict verification actually checks:
   clobbered header words, truncated buffers, torn/corrupt archives,
-  missing machines.  (A mid-data bit flip is *not* structural — the
-  forward scan simply stops at the first non-record word, by design.)
+  missing machines.
+* **Strict is trustworthy evidence or nothing.**  Whenever strict
+  reconstruction of a damaged snap does not raise, salvage lost no
+  word and reconstructs the same threads: damage the scan can see (a
+  flipped word that no longer decodes, a zeroed hole) is refused.
 """
 
 import random
@@ -81,7 +84,8 @@ def _damage_snaps(snaps, rng):
 def _fuzz_one(snaps, mapfiles, seed):
     rng = random.Random(seed)
     damaged, notes = _damage_snaps(snaps, rng)
-    trace = Reconstructor(mapfiles).reconstruct_distributed(
+    reconstructor = Reconstructor(mapfiles)
+    trace = reconstructor.reconstruct_distributed(
         damaged, strict=False, expected_machines=None
     )
     assert trace.degradation is not None
@@ -89,6 +93,17 @@ def _fuzz_one(snaps, mapfiles, seed):
     # Ground truth was produced, even if this particular damage landed
     # somewhere reconstruction tolerates silently.
     assert notes
+    for snap in damaged:
+        if snap is None:
+            continue
+        try:
+            strict = reconstructor.reconstruct(snap, strict=True)
+        except RecoveryError:
+            continue
+        salvage = reconstructor.reconstruct(snap, strict=False)
+        assert salvage.notes == strict.notes
+        assert not any(report.words_skipped for report in salvage.salvage)
+        assert salvage.threads == strict.threads
 
 
 def _fuzz_archive_one(snaps, seed):

@@ -1,11 +1,12 @@
-"""The bulk (vectorized) record decoders are output-identical to the
-scalar oracles on every input class: clean streams, every record shape,
-damaged words, truncation, non-word garbage, and fuzzed buffers.
+"""The bulk (vectorized) resync scan is output-identical to its scalar
+reference on every input class: clean streams, every record shape,
+damaged words, zeroed holes, truncation, and fuzzed buffers.
 
-The scalar scanners in :mod:`repro.runtime.records` define the format;
-the bulk paths exist purely for throughput (``bench_interpreter.py``'s
-decode section holds them to >=3x), so any divergence is a bug in the
-bulk path by definition.
+The scalar reference in :mod:`repro.runtime.records` states the scan's
+rules; the bulk form exists purely for throughput
+(``bench_interpreter.py``'s decode section holds it to >=3x), so any
+divergence is a bug in the bulk path by definition.  Values that are
+not 32-bit words never reach either: loading a snap stops them.
 """
 
 from __future__ import annotations
@@ -14,34 +15,25 @@ import random
 
 import pytest
 
-from repro.reconstruct.recovery import (
-    read_forward_salvage,
-    read_forward_salvage_bulk,
-)
 from repro.runtime.records import (
     INVALID,
     SENTINEL,
     DagRecord,
     ExtKind,
     ExtRecord,
-    read_backward,
-    read_backward_bulk,
-    read_forward,
-    read_forward_bulk,
+    read_forward_salvage,
+    read_forward_salvage_bulk,
 )
+from repro.runtime.snap import BufferDump, SnapFile
 
 
-def assert_all_agree(words: list[int]) -> None:
-    """Every bulk scanner matches its scalar oracle on ``words``."""
+def assert_all_agree(words: list[int]) -> tuple[list, int]:
+    """The bulk scan matches its scalar reference on ``words``; returns
+    their common ``(records, words_lost)``."""
     end = len(words)
-    assert read_forward_bulk(words, 0, end) == read_forward(words, 0, end)
-    assert read_forward_salvage_bulk(words, 0, end) == read_forward_salvage(
-        words, 0, end
-    )
-    if end:
-        assert read_backward_bulk(words, end - 1, 0) == read_backward(
-            words, end - 1, 0
-        )
+    scanned = read_forward_salvage_bulk(words, 0, end)
+    assert scanned == read_forward_salvage(words, 0, end)
+    return scanned
 
 
 def _stream(*records) -> list[int]:
@@ -69,7 +61,25 @@ def test_clean_dag_stream():
 
 def test_mixed_stream_with_zero_tail():
     words = _stream(DAGS[0], EXTS[0], DAGS[1], EXTS[3], *DAGS[2:10])
-    assert_all_agree(words + [INVALID] * 6)
+    records, lost = assert_all_agree(words + [INVALID] * 6)
+    assert len(records) == 12 and lost == 0  # the tail is unwritten space
+
+
+def test_zeroed_hole_before_data_is_lost():
+    """Zeros with written data after them are a hole, not a tail: the
+    runtime only leaves zeros at a sub-buffer's end."""
+    words = _stream(*DAGS[:3]) + [INVALID] * 8 + _stream(*DAGS[3:6])
+    records, lost = assert_all_agree(words + [INVALID] * 4)
+    assert records == DAGS[:6] and lost == 8
+    assert assert_all_agree([INVALID, *_stream(DAGS[0])]) == ([DAGS[0]], 1)
+    # Zeros inside a payload are payload...
+    record = EXTS[0].encode()
+    record[2:4] = [INVALID, INVALID]
+    assert assert_all_agree(record + _stream(DAGS[0]))[1] == 0
+    # ...but a zeroed trailer strands the header and its payload.
+    record = EXTS[0].encode()
+    record[-1] = INVALID
+    assert assert_all_agree(record + _stream(DAGS[0])) == ([DAGS[0]], 7)
 
 
 def test_high_id_dag_records_near_sentinel():
@@ -84,9 +94,9 @@ def test_high_id_dag_records_near_sentinel():
     assert_all_agree(words)
 
 
-def test_sentinel_stops_forward_scan():
+def test_sentinel_inside_span_is_lost():
     words = _stream(*DAGS[:4]) + [SENTINEL] + _stream(*DAGS[4:8])
-    assert_all_agree(words)
+    assert assert_all_agree(words) == (DAGS[:8], 1)
 
 
 def test_truncated_ext_record():
@@ -116,11 +126,26 @@ def test_ext_header_with_wrong_trailer():
     assert_all_agree(words)
 
 
-def test_non_word_values_fall_back_to_scalar():
-    words = _stream(*DAGS[:3]) + [1 << 40] + _stream(*DAGS[3:5])
-    assert_all_agree(words)
-    words = _stream(*DAGS[:3]) + [-5]
-    assert_all_agree(words)
+def test_non_word_values_are_refused_at_load():
+    """The scan packs its span as 32-bit words and has no fallback:
+    loading a snap is where any other value stops (strict) or is zeroed
+    in place with a note (salvage), which the scan then counts as a
+    lost word."""
+    for bad in ("x", -5, 1 << 40):
+        words = _stream(*DAGS[:3]) + [bad] + _stream(*DAGS[3:5])
+        snap = SnapFile(
+            reason="api", detail={}, process_name="p", pid=1,
+            machine_name="m", clock=0, modules=[], threads=[],
+            buffers=[BufferDump(3, 0, 0, 1, len(words) + 1, None, words)],
+        )
+        d = snap.to_dict()
+        with pytest.raises(ValueError, match=r"^buffer 3: word 3 is "):
+            SnapFile.from_dict(d)
+        salvaged, notes = SnapFile.from_dict_salvage(d)
+        assert notes == ["buffer 3: 1 of 6 values zeroed (not 32-bit words)"]
+        zeroed = salvaged.buffers[0].words
+        assert zeroed == _stream(*DAGS[:3]) + [INVALID] + _stream(*DAGS[3:5])
+        assert assert_all_agree(zeroed) == (DAGS[:5], 1)
 
 
 def test_empty_and_single_word_spans():
@@ -170,11 +195,6 @@ def test_fuzzed_buffers_agree(seed):
     # Sub-spans exercise boundary clamping.
     lo = rng.randrange(0, len(words))
     hi = rng.randrange(lo, len(words) + 1)
-    assert read_forward_bulk(words, lo, hi) == read_forward(words, lo, hi)
     assert read_forward_salvage_bulk(words, lo, hi) == read_forward_salvage(
         words, lo, hi
     )
-    if hi > lo:
-        assert read_backward_bulk(words, hi - 1, lo) == read_backward(
-            words, hi - 1, lo
-        )

@@ -5,14 +5,16 @@ import pytest
 from repro.reconstruct import (
     RecoveryError,
     mine_buffer,
+    mine_buffer_salvage,
     recover_spans,
+    recover_spans_salvage,
     split_by_thread,
     sub_buffer_order,
     verify_buffer,
 )
 from repro.runtime import BufferFlags, TraceBuffer
 from repro.runtime.buffers import HEADER_WORDS
-from repro.runtime.records import DagRecord, ExtKind, ExtRecord
+from repro.runtime.records import DagRecord, ExtKind, ExtRecord, is_dag_word
 from repro.runtime.snap import BufferDump
 from repro.vm import Machine
 
@@ -143,14 +145,7 @@ def test_recover_spans_skips_probation():
     assert spans == [] and notes == []
 
 
-def test_backward_mining_agrees_on_real_traces():
-    """§4.1's back-to-front mining recovers exactly what the forward
-    scan does, on buffers produced by a real traced run."""
-    from repro import trace_program
-    from repro.reconstruct import mine_buffer_backward
-
-    run = trace_program(
-        """
+FIB = """
 int fib(int n) {
     if (n < 2) { return n; }
     return fib(n - 1) + fib(n - 2);
@@ -162,15 +157,76 @@ int main() {
     return 0;
 }
 """
-    )
+
+
+@pytest.fixture(scope="module")
+def fib_run():
+    from repro import trace_program
+
+    run = trace_program(FIB)
     assert run.snap is not None
+    return run
+
+
+def test_real_traces_mine_without_loss(fib_run):
+    """The runtime writes whole records and leaves zeros only at a
+    sub-buffer's tail, so strict mining of a real, wrapped ring loses
+    no word and agrees with salvage."""
     checked = 0
-    for dump in run.snap.buffers:
+    for dump in fib_run.snap.buffers:
         if dump.flags:
             continue
-        forward = mine_buffer(dump)
-        backward = mine_buffer_backward(dump)
-        assert forward == backward
-        if forward:
-            checked += 1
+        records, report = mine_buffer_salvage(dump)
+        assert not report.damaged
+        assert mine_buffer(dump) == records
+        checked += bool(records)
     assert checked >= 1
+
+
+def _damage(snap, kind: str) -> tuple[int, int, int]:
+    """Damage the middle of the oldest sub-buffer of the snap's wrapped
+    ring; returns (buffer index, sub-buffer, words the damage loses)."""
+    dump = next(
+        d for d in snap.buffers if not d.flags and d.words[4] != 0xFFFFFFFF
+    )
+    sub = sub_buffer_order(dump)[0]
+    mid = HEADER_WORDS + sub * dump.sub_size + dump.sub_size // 2
+    assert all(is_dag_word(w) for w in dump.words[mid : mid + 8])
+    if kind == "garbage":
+        dump.words[mid] = 0x12345678
+        return dump.index, sub, 1
+    if kind == "hole":
+        dump.words[mid : mid + 8] = [0] * 8
+        return dump.index, sub, 8
+    # A SYNC record whose trailer names another kind: header, payload
+    # and trailer all fail to place.
+    record = ExtRecord(ExtKind.SYNC, 1, (1, 2, 3)).encode()
+    record[-1] = ExtRecord(ExtKind.TIMESTAMP, 0, (1, 2, 3)).encode()[-1]
+    dump.words[mid : mid + 5] = record
+    return dump.index, sub, 5
+
+
+@pytest.mark.parametrize("kind", ["garbage", "hole", "bad-trailer"])
+def test_strict_refuses_any_lost_word(fib_run, kind, tmp_path, capsys):
+    """Strict recovery and ``tbtrace view`` refuse a sub-buffer the scan
+    lost a word in, naming it; salvage counts the loss."""
+    from repro.chaos import copy_snap
+    from repro.tools.tb import main
+
+    snap = copy_snap(fib_run.snap)
+    index, sub, lost = _damage(snap, kind)
+    with pytest.raises(
+        RecoveryError, match=rf"^buffer {index}: sub-buffer {sub}: {lost} of "
+    ):
+        recover_spans(snap.buffers)
+    report = next(
+        r for r in recover_spans_salvage(snap.buffers).reports
+        if r.buffer_index == index
+    )
+    assert report.words_skipped == lost
+    snap_path, map_path = tmp_path / "snap.json", tmp_path / "app.map.json"
+    snap.save(str(snap_path))
+    fib_run.mapfiles[0].save(str(map_path))
+    assert main(["view", str(snap_path), str(map_path)]) == 1
+    err = capsys.readouterr().err
+    assert "re-run with --salvage" in err and err.count("\n") == 1

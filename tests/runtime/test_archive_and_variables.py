@@ -1,16 +1,25 @@
 """Snap compression (§2.1's 10x claim) and variable display (§3.6)."""
 
+import json
+import struct
+import zlib
+
+import pytest
+
 from repro import TraceSession, trace_program
 from repro.reconstruct import global_variables, render_variables, variable
 from repro.runtime import (
+    ArchiveError,
     RuntimeConfig,
     SnapPolicy,
     compress_snap,
     compression_ratio,
     decompress_snap,
     load_compressed,
+    salvage_decompress,
     save_compressed,
 )
+from repro.runtime.archive import inspect_container, pack_words
 
 LOOPY = """
 int counters[16];
@@ -77,10 +86,55 @@ def test_compressed_file_round_trip(tmp_path):
 
 
 def test_decompress_rejects_garbage():
-    import pytest
-
     with pytest.raises(ValueError):
         decompress_snap(b"not a snap")
+
+
+def _container_body(snap, with_crc: bool) -> bytes:
+    """A container body built by hand: the header JSON with one blob
+    marker per buffer, then the packed blobs."""
+    payload = snap.to_dict()
+    blobs: list[bytes] = []
+    for buffer in payload["buffers"]:
+        blob = pack_words(buffer["words"])
+        marker = ["blob", len(blobs), len(blob)]
+        buffer["words"] = marker + [zlib.crc32(blob)] if with_crc else marker
+        blobs.append(blob)
+    header = json.dumps(payload).encode()
+    return struct.pack("<I", len(header)) + header + b"".join(blobs)
+
+
+def test_tbsz1_container_is_refused(tmp_path, capsys):
+    """Only checksummed ``TBSZ2`` containers load: a well-formed
+    ``TBSZ1`` one (no CRCs, no length word) is refused, by
+    ``tbtrace info`` too, in one line."""
+    from repro.tools.tb import main
+
+    body = _container_body(run_with_memory().snap, with_crc=False)
+    data = b"TBSZ1\n" + zlib.compress(body)
+    with pytest.raises(ArchiveError, match="not a compressed snap container"):
+        decompress_snap(data)
+    assert salvage_decompress(data) == (
+        None, ["not a compressed snap container"]
+    )
+    path = tmp_path / "v1.tbsz"
+    path.write_bytes(data)
+    assert main(["info", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not a compressed snap container" in err
+
+
+def test_blob_marker_without_crc_is_damage():
+    body = _container_body(run_with_memory().snap, with_crc=False)
+    data = b"TBSZ2\n" + struct.pack("<I", len(body)) + zlib.compress(body)
+    with pytest.raises(ArchiveError, match="blob marker carries no CRC"):
+        decompress_snap(data)
+    snap, notes = salvage_decompress(data)
+    assert snap is not None and notes
+    assert all("blob marker carries no CRC" in note for note in notes)
+    info = inspect_container(data)
+    assert info["crc_ok"] is False
+    assert {blob["crc"] for blob in info["blobs"]} == {"missing"}
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,13 @@ from repro.runtime import (
     is_dag_word,
     is_ext_header,
     is_ext_trailer,
-    read_backward,
-    read_forward,
 )
-from repro.runtime.records import MAX_DAG_ID, PATH_BITS, RESERVED_DAG_ID
+from repro.runtime.records import (
+    MAX_DAG_ID,
+    PATH_BITS,
+    RESERVED_DAG_ID,
+    read_forward_salvage_bulk,
+)
 
 
 def test_dag_record_bit_layout():
@@ -73,35 +76,45 @@ def test_multi_word_extended_record_has_trailer():
 
 
 def test_forward_read_stops_at_invalid():
+    """Zeros end the history only as the unwritten tail: a zero with a
+    record after it is a lost word."""
+    words = [DagRecord(1, 0).encode(), DagRecord(2, 0).encode(), 0, 0]
+    assert read_forward_salvage_bulk(words, 0, 4) == (
+        [DagRecord(1, 0), DagRecord(2, 0)], 0
+    )
     words = [DagRecord(1, 0).encode(), 0, DagRecord(2, 0).encode()]
-    records = read_forward(words, 0, 3)
-    assert records == [DagRecord(1, 0)]
+    assert read_forward_salvage_bulk(words, 0, 3) == (
+        [DagRecord(1, 0), DagRecord(2, 0)], 1
+    )
 
 
-def test_forward_read_stops_at_sentinel():
+def test_forward_read_loses_a_sentinel_inside_the_span():
     words = [DagRecord(1, 0).encode(), SENTINEL, DagRecord(2, 0).encode()]
-    assert read_forward(words, 0, 3) == [DagRecord(1, 0)]
+    assert read_forward_salvage_bulk(words, 0, 3) == (
+        [DagRecord(1, 0), DagRecord(2, 0)], 1
+    )
 
 
 def test_forward_read_truncated_extended_record():
     full = ExtRecord(kind=ExtKind.SYNC, inline=1, payload=(9, 9, 9)).encode()
     words = [DagRecord(1, 0).encode()] + full[:2]  # header+1 payload word
-    assert read_forward(words, 0, len(words)) == [DagRecord(1, 0)]
+    assert read_forward_salvage_bulk(words, 0, len(words)) == (
+        [DagRecord(1, 0)], 2
+    )
 
 
 def test_payload_can_contain_any_bit_pattern():
-    """Payload words that look like sentinels or DAG records must not
-    confuse either scan direction (the trailer exists for this)."""
+    """Payload words that look like sentinels, DAG records or zeroed
+    space must not confuse the scan (the trailer exists for this)."""
     tricky = ExtRecord(
         kind=ExtKind.EXCEPTION,
         inline=0,
         payload=(SENTINEL, DagRecord(5, 1).encode(), 0),
     )
     words = [DagRecord(3, 0).encode(), *tricky.encode(), DagRecord(4, 2).encode()]
-    forward = read_forward(words, 0, len(words))
-    backward = read_backward(words, len(words) - 1, 0)
-    assert forward == backward
-    assert forward == [DagRecord(3, 0), tricky, DagRecord(4, 2)]
+    assert read_forward_salvage_bulk(words, 0, len(words)) == (
+        [DagRecord(3, 0), tricky, DagRecord(4, 2)], 0
+    )
 
 
 @st.composite
@@ -142,18 +155,4 @@ def test_write_then_read_forward_round_trip(records):
             words.append(record.encode())
         else:
             words.extend(record.encode())
-    assert read_forward(words, 0, len(words)) == records
-
-
-@given(record_stream())
-def test_backward_mining_agrees_with_forward(records):
-    """§4.1's back-to-front mining recovers the same record sequence."""
-    words = []
-    for record in records:
-        if isinstance(record, DagRecord):
-            words.append(record.encode())
-        else:
-            words.extend(record.encode())
-    forward = read_forward(words, 0, len(words))
-    backward = read_backward(words, len(words) - 1, 0)
-    assert forward == backward
+    assert read_forward_salvage_bulk(words, 0, len(words)) == (records, 0)
