@@ -14,25 +14,15 @@ The federation PR's operational claims, measured:
   and the overhead it pays is exactly the lost vault's deadline+retry
   budget in simulated cycles, plus a small wall-clock delta.
 
-Results merge into the ``federation`` section of ``BENCH_fleet.json``
-— inside both ``latest`` and the newest ``history`` entry, so the
-ingest benchmark's own ``--check`` comparison across history entries
-keeps working unchanged::
-
-    PYTHONPATH=src python benchmarks/bench_fleet_federation.py          # measure
-    PYTHONPATH=src python benchmarks/bench_fleet_federation.py --check  # guard
-
-``--check`` compares ``federation.queries_per_sec`` (healthy queries at
-the widest fan-out) between the two most recent history entries that
-carry a ``federation`` section and fails on a >25% regression; fewer
-than two such entries is not an error (the section is new).
+Each run appends its entry to the ``federation`` section of
+``BENCH_fleet.json``; ``--check`` guards ``queries_per_sec``, healthy
+queries at the widest fan-out (``benchmarks/_harness.py``).
 
 Also runs in the slow pytest lane.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import sys
@@ -44,15 +34,16 @@ import time
 # sys.path).
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from benchmarks.bench_fleet_ingest import (  # noqa: E402
-    OUTPUT_PATH,
-    _load_report,
-    _make_snap,
-)
+from benchmarks._harness import FLEET, main, record  # noqa: E402
+from benchmarks.bench_fleet_ingest import _make_snap  # noqa: E402
 from repro.distributed.network import Network
 from repro.fleet import FederatedQuery, SnapVault
 from repro.fleet.remote import RemoteVaultClient, VaultService
 from repro.workloads.harness import format_table
+
+OUTPUT_PATH = FLEET
+SECTION = "federation"
+GUARDED = {"queries_per_sec": "higher"}
 
 #: Snaps in the fixed corpus, split round-robin across the fleet.
 CORPUS_SNAPS = 240
@@ -62,9 +53,6 @@ VAULT_COUNTS = [1, 2, 4, 8]
 
 #: select+incidents rounds per width (wall clock is averaged over them).
 ROUNDS = 15
-
-#: ``--check`` tolerance on healthy queries/sec at the widest fan-out.
-REGRESSION_TOLERANCE = 0.25
 
 
 def _build_fleet(root: str, count: int) -> dict[str, SnapVault]:
@@ -150,48 +138,8 @@ def run_benchmark() -> dict:
         "one_slow_vault": slow,
         "queries_per_sec": fan_out[-1]["queries_per_sec"],
     }
-    report = _load_report()
-    if not report:
-        report = {"schema": "tb-fleet-ingest-bench/2", "latest": {},
-                  "history": [{}]}
-    report.setdefault("latest", {})["federation"] = entry
-    history = report.setdefault("history", [])
-    if not history:
-        history.append({})
-    history[-1]["federation"] = entry
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    record(OUTPUT_PATH, SECTION, entry)
     return entry
-
-
-def check_regression() -> int:
-    """Exit 1 when healthy federated query throughput regressed >25%
-    between the two most recent history entries with a federation
-    section."""
-    history = _load_report().get("history", [])
-    rates = [
-        h["federation"]["queries_per_sec"]
-        for h in history
-        if isinstance(h.get("federation"), dict)
-        and h["federation"].get("queries_per_sec")
-    ]
-    if len(rates) < 2:
-        print(f"bench_fleet_federation --check: {len(rates)} federation "
-              "history entr(ies) in BENCH_fleet.json, nothing to compare")
-        return 0
-    prev, last = rates[-2], rates[-1]
-    if last < prev * (1 - REGRESSION_TOLERANCE):
-        print(
-            f"bench_fleet_federation --check: FAIL — federated query "
-            f"rate {last:,.1f}/s is down {(1 - last / prev):.0%} from "
-            f"previous {prev:,.1f}/s "
-            f"(tolerance {REGRESSION_TOLERANCE:.0%})"
-        )
-        return 1
-    print(
-        f"bench_fleet_federation --check: ok — federated query rate "
-        f"{last:,.1f}/s vs previous {prev:,.1f}/s"
-    )
-    return 0
 
 
 def _render(entry: dict) -> str:
@@ -230,6 +178,4 @@ def test_fleet_federation(report):
 
 
 if __name__ == "__main__":
-    if "--check" in sys.argv[1:]:
-        raise SystemExit(check_regression())
-    print(_render(run_benchmark()))
+    main(OUTPUT_PATH, SECTION, GUARDED, run_benchmark, _render)

@@ -13,25 +13,15 @@ The compaction PR's operational claims, measured:
   (the recorded ratio is informational; the assertion is an ordinal
   floor).
 
-Results merge into the ``gc`` section of ``BENCH_fleet.json`` —
-inside both ``latest`` and the newest ``history`` entry, so the
-ingest benchmark's own ``--check`` comparison across history entries
-keeps working unchanged::
-
-    PYTHONPATH=src python benchmarks/bench_fleet_gc.py          # measure
-    PYTHONPATH=src python benchmarks/bench_fleet_gc.py --check  # guard
-
-``--check`` compares ``gc.reclaimed_bytes_per_sec`` between the two
-most recent history entries that carry a ``gc`` section and fails on a
->25% regression; fewer than two such entries is not an error (the
-section is new).
+Each run appends its entry to the ``gc`` section of
+``BENCH_fleet.json``; ``--check`` guards the reclaim rate
+(``benchmarks/_harness.py``).
 
 Also runs in the slow pytest lane.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import sys
@@ -43,14 +33,17 @@ import time
 # sys.path) and as a direct script (only benchmarks/ on sys.path).
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+from benchmarks._harness import FLEET, main, record  # noqa: E402
 from benchmarks.bench_fleet_ingest import (  # noqa: E402
-    OUTPUT_PATH,
-    PARALLEL_COLLECTORS,
-    _load_report,
     _make_snap,
+    feed_parallel,
 )
-from repro.fleet import Collector, RetentionPolicy, SnapVault
+from repro.fleet import RetentionPolicy, SnapVault
 from repro.workloads.harness import format_table
+
+OUTPUT_PATH = FLEET
+SECTION = "gc"
+GUARDED = {"reclaimed_bytes_per_sec": "higher"}
 
 #: Snaps in the reclaim-rate vault; an age horizon at the midpoint
 #: clock expires roughly half of them.
@@ -59,36 +52,10 @@ GC_VAULT_SNAPS = 4_000
 #: Snaps ingested while compaction passes race the collectors.
 INGEST_SNAPS = 3_000
 
-#: ``--check`` tolerance on reclaimed bytes/sec.
-REGRESSION_TOLERANCE = 0.25
 
-
-def _fill_vault(root: str, count: int, **vault_options) -> SnapVault:
-    vault = SnapVault(root, shards=8, durability="batch", **vault_options)
-    collectors = [
-        Collector(vault, batch_size=64, queue_limit=512, name=f"fill-{i}")
-        for i in range(PARALLEL_COLLECTORS)
-    ]
-    snaps = [_make_snap(i) for i in range(count)]
-    chunks = [
-        snaps[i :: PARALLEL_COLLECTORS] for i in range(PARALLEL_COLLECTORS)
-    ]
-
-    def feed(collector, chunk):
-        for snap in chunk:
-            collector.submit(snap)
-        collector.drain()
-
-    threads = [
-        threading.Thread(target=feed, args=(c, chunk), daemon=True)
-        for c, chunk in zip(collectors, chunks)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    for collector in collectors:
-        collector.close()
+def _fill_vault(root: str, count: int) -> SnapVault:
+    vault = SnapVault(root, shards=8, durability="batch")
+    feed_parallel(vault, [_make_snap(i) for i in range(count)], batch_size=64)
     return vault
 
 
@@ -132,20 +99,6 @@ def _ingest_rate(compact_concurrently: bool) -> dict:
         # Pre-populate with old snaps so the racing GC has victims.
         vault = _fill_vault(root, 1_000)
         snaps = [_make_snap(100_000 + i) for i in range(INGEST_SNAPS)]
-        collectors = [
-            Collector(vault, batch_size=32, queue_limit=256, name=f"c{i}")
-            for i in range(PARALLEL_COLLECTORS)
-        ]
-        chunks = [
-            snaps[i :: PARALLEL_COLLECTORS]
-            for i in range(PARALLEL_COLLECTORS)
-        ]
-
-        def feed(collector, chunk):
-            for snap in chunk:
-                collector.submit(snap)
-            collector.drain()
-
         stop = threading.Event()
         gc_passes = [0]
 
@@ -163,25 +116,13 @@ def _ingest_rate(compact_concurrently: bool) -> dict:
                 now += 1_000
                 gc_passes[0] += 1
 
-        threads = [
-            threading.Thread(target=feed, args=(c, chunk), daemon=True)
-            for c, chunk in zip(collectors, chunks)
-        ]
         gc_thread = threading.Thread(target=gc_loop, daemon=True)
-        start = time.perf_counter()
         if compact_concurrently:
             gc_thread.start()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        seconds = time.perf_counter() - start
+        seconds = feed_parallel(vault, snaps)
         stop.set()
         if compact_concurrently:
             gc_thread.join()
-        # Nothing ingested during the run was lost to the racing GC.
-        for collector in collectors:
-            assert not collector.dead
         result = {
             "seconds": round(seconds, 4),
             "snaps_per_sec": round(len(snaps) / seconds, 1),
@@ -208,49 +149,8 @@ def run_benchmark() -> dict:
         "reclaimed_bytes": reclaim["reclaimed_bytes"],
         "reclaimed_bytes_per_sec": reclaim["reclaimed_bytes_per_sec"],
     }
-    report = _load_report()
-    if not report:
-        # No ingest benchmark has run yet: start a minimal report the
-        # ingest benchmark will extend.
-        report = {"schema": "tb-fleet-ingest-bench/2", "latest": {},
-                  "history": [{}]}
-    report.setdefault("latest", {})["gc"] = entry
-    history = report.setdefault("history", [])
-    if not history:
-        history.append({})
-    history[-1]["gc"] = entry
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    record(OUTPUT_PATH, SECTION, entry)
     return entry
-
-
-def check_regression() -> int:
-    """Exit 1 when the reclaim rate regressed >25% between the two most
-    recent history entries that have a gc section."""
-    history = _load_report().get("history", [])
-    rates = [
-        h["gc"]["reclaimed_bytes_per_sec"]
-        for h in history
-        if isinstance(h.get("gc"), dict)
-        and h["gc"].get("reclaimed_bytes_per_sec")
-    ]
-    if len(rates) < 2:
-        print(f"bench_fleet_gc --check: {len(rates)} gc history "
-              "entr(ies) in BENCH_fleet.json, nothing to compare")
-        return 0
-    prev, last = rates[-2], rates[-1]
-    if last < prev * (1 - REGRESSION_TOLERANCE):
-        print(
-            f"bench_fleet_gc --check: FAIL — reclaim rate "
-            f"{last:,.0f} B/s is down {(1 - last / prev):.0%} from "
-            f"previous {prev:,.0f} B/s "
-            f"(tolerance {REGRESSION_TOLERANCE:.0%})"
-        )
-        return 1
-    print(
-        f"bench_fleet_gc --check: ok — reclaim rate {last:,.0f} B/s "
-        f"vs previous {prev:,.0f} B/s"
-    )
-    return 0
 
 
 def _render(entry: dict) -> str:
@@ -292,6 +192,4 @@ def test_fleet_gc(report):
 
 
 if __name__ == "__main__":
-    if "--check" in sys.argv[1:]:
-        raise SystemExit(check_regression())
-    print(_render(run_benchmark()))
+    main(OUTPUT_PATH, SECTION, GUARDED, run_benchmark, _render)

@@ -7,11 +7,10 @@ then queries the lot interactively.  Since the parallel-ingest PR this
 benchmark measures the two claims that PR makes:
 
 * **ingest speedup** — the same submission stream (20% duplicates)
-  through one legacy collector (``pipelined=False``: one ``vault.put``
-  with its own fsync per snap, the PR 3 wire behavior) versus four
-  concurrent collectors committing prepared batches under group-commit
-  durability with coalesced sync points.  The acceptance bar is >= 4x
-  aggregate snaps/sec;
+  through one ``vault.put`` per snap, each with its own fsync, versus
+  four concurrent collectors committing prepared batches under
+  group-commit durability with coalesced sync points.  The acceptance
+  bar is >= 4x aggregate snaps/sec;
 * **query scaling** — ``VaultQuery.incident_of`` latency on a 1k-snap
   store versus a 50k-snap store.  The persisted incident index makes
   the lookup O(incident), so the two must agree within +-20%.  Both
@@ -23,35 +22,36 @@ benchmark measures the two claims that PR makes:
   microsecond-scale lookups).  The full ``incidents()`` listing time is recorded as
   informational (it is O(result) and the 50k result is 50x larger).
 
-Results append to a bounded history array in ``BENCH_fleet.json``
-(schema ``tb-fleet-ingest-bench/2``) so the check lane can fail on
-regressions::
-
-    PYTHONPATH=src python benchmarks/bench_fleet_ingest.py          # measure
-    PYTHONPATH=src python benchmarks/bench_fleet_ingest.py --check  # guard
-
-``--check`` compares the two most recent history entries and exits
-non-zero when parallel snaps/sec regressed by more than 25%.
+Each run appends its entry (schema ``tb-fleet-ingest-bench/2``) to the
+``ingest`` section of ``BENCH_fleet.json``; ``--check`` guards parallel
+snaps/sec (``benchmarks/_harness.py``).
 
 Also runs in the slow pytest lane (``pytest -m slow benchmarks/``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import sys
 import tempfile
 import threading
 import time
-from pathlib import Path
 
+# Importable both as benchmarks.bench_fleet_ingest (pytest, repo root on
+# sys.path) and as a direct script (only benchmarks/ on sys.path).
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from benchmarks._harness import FLEET, main, record  # noqa: E402
 from repro.fleet import Collector, SnapVault, VaultQuery
 from repro.runtime.snap import SnapFile
 from repro.workloads.harness import format_table
 
 SCHEMA = "tb-fleet-ingest-bench/2"
+
+OUTPUT_PATH = FLEET
+SECTION = "ingest"
+GUARDED = {"parallel.snaps_per_sec": "higher"}
 
 #: Distinct snaps in the ingest-speedup vaults after dedupe.
 UNIQUE_SNAPS = 4_000
@@ -84,15 +84,6 @@ QUERY_WINDOW = 64
 #: Ingest must not be the bottleneck of a simulated run (ordinal floor;
 #: real rates are orders of magnitude higher).
 MIN_SNAPS_PER_SEC = 100.0
-
-#: ``--check`` fails when parallel snaps/sec drops by more than this
-#: fraction between the two most recent history entries.
-REGRESSION_TOLERANCE = 0.25
-
-#: History entries kept in BENCH_fleet.json.
-HISTORY_LIMIT = 20
-
-OUTPUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
 
 MACHINES = [f"rack-{i:02d}" for i in range(10)]
 PROCESSES = ["web", "db", "cache", "auth", "billing"]
@@ -155,18 +146,64 @@ def _median_of(runs: int, measure) -> dict:
     return results[len(results) // 2]
 
 
+def feed_parallel(
+    vault: SnapVault, snaps: list[SnapFile], batch_size: int = 32
+) -> float:
+    """Submit ``snaps`` round-robin through ``PARALLEL_COLLECTORS``
+    collectors, one thread each; returns the seconds until every
+    collector has drained.
+
+    Preparation runs inline on each collector thread; the vault's index
+    lock and per-shard manifest locks serialize just the metadata
+    commit.
+    """
+    collectors = [
+        Collector(
+            vault,
+            batch_size=batch_size,
+            queue_limit=8 * batch_size,
+            name=f"bench-collector-{i}",
+        )
+        for i in range(PARALLEL_COLLECTORS)
+    ]
+
+    def feed(collector: Collector, chunk: list[SnapFile]) -> None:
+        for snap in chunk:
+            collector.submit(snap)
+        collector.drain()
+
+    threads = [
+        threading.Thread(
+            target=feed,
+            args=(collector, snaps[i::PARALLEL_COLLECTORS]),
+            daemon=True,
+        )
+        for i, collector in enumerate(collectors)
+    ]
+    start = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    seconds = time.perf_counter() - start
+    for collector in collectors:
+        # Nothing submitted may be lost, not even to a racing GC.
+        assert not collector.dead
+        # Outside the timing, a due index checkpoint is written here
+        # rather than inside a caller's timed compact().
+        collector.close()
+    return seconds
+
+
 def _ingest_baseline(stream: list[SnapFile]) -> dict:
-    """One collector, one ``vault.put`` (own fsync) per snap — PR 3."""
+    """One ``vault.put`` (own fsync) per snap, in submission order."""
     root = tempfile.mkdtemp(prefix="tb-bench-vault-")
     try:
         vault = SnapVault(root, shards=8)
-        collector = Collector(
-            vault, batch_size=32, queue_limit=256, pipelined=False
-        )
         start = time.perf_counter()
         for snap in stream:
-            collector.submit(snap)
-        collector.drain()
+            vault.put(snap)
+        vault.flush_index()
         seconds = time.perf_counter() - start
         assert len(vault) == UNIQUE_SNAPS, len(vault)
         return {
@@ -183,45 +220,11 @@ def _ingest_baseline(stream: list[SnapFile]) -> dict:
 
 
 def _ingest_parallel(stream: list[SnapFile]) -> dict:
-    """Four collectors on four threads, group-commit batch durability.
-
-    Preparation runs inline on each collector thread: with no network
-    transfer to overlap, a shared worker pool only adds GIL convoying
-    (measured: it costs ~20-60% here).  The vault's index lock and
-    per-shard manifest locks serialize just the metadata commit.
-    """
+    """Four collectors, group-commit batch durability."""
     root = tempfile.mkdtemp(prefix="tb-bench-vault-")
     try:
         vault = SnapVault(root, shards=8, durability="batch")
-        collectors = [
-            Collector(
-                vault,
-                batch_size=32,
-                queue_limit=256,
-                name=f"bench-collector-{i}",
-            )
-            for i in range(PARALLEL_COLLECTORS)
-        ]
-        chunks = [
-            stream[i :: PARALLEL_COLLECTORS]
-            for i in range(PARALLEL_COLLECTORS)
-        ]
-
-        def feed(collector: Collector, chunk: list[SnapFile]) -> None:
-            for snap in chunk:
-                collector.submit(snap)
-            collector.drain()
-
-        threads = [
-            threading.Thread(target=feed, args=(c, chunk), daemon=True)
-            for c, chunk in zip(collectors, chunks)
-        ]
-        start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        seconds = time.perf_counter() - start
+        seconds = feed_parallel(vault, stream)
         assert len(vault) == UNIQUE_SNAPS, len(vault)
         metrics = vault.metrics
         return {
@@ -247,28 +250,7 @@ def _build_store(root: str, unique: int) -> SnapVault:
     vault = SnapVault(
         root, shards=8, durability="batch", link_window=QUERY_WINDOW
     )
-    collectors = [
-        Collector(vault, batch_size=64, queue_limit=512, name=f"fill-{i}")
-        for i in range(PARALLEL_COLLECTORS)
-    ]
-    snaps = [_make_snap(i) for i in range(unique)]
-    chunks = [
-        snaps[i :: PARALLEL_COLLECTORS] for i in range(PARALLEL_COLLECTORS)
-    ]
-
-    def feed(collector: Collector, chunk: list[SnapFile]) -> None:
-        for snap in chunk:
-            collector.submit(snap)
-        collector.drain()
-
-    threads = [
-        threading.Thread(target=feed, args=(c, chunk), daemon=True)
-        for c, chunk in zip(collectors, chunks)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    feed_parallel(vault, [_make_snap(i) for i in range(unique)], batch_size=64)
     assert len(vault) == unique, len(vault)
     return vault
 
@@ -330,18 +312,6 @@ def _query_scaling() -> dict:
     return results
 
 
-# ----------------------------------------------------------------------
-# History + regression guard
-# ----------------------------------------------------------------------
-def _load_report() -> dict:
-    if not OUTPUT_PATH.exists():
-        return {}
-    try:
-        return json.loads(OUTPUT_PATH.read_text())
-    except (OSError, ValueError):
-        return {}
-
-
 def run_benchmark() -> dict:
     stream = _submission_stream()
     baseline = _median_of(INGEST_RUNS, lambda: _ingest_baseline(stream))
@@ -357,52 +327,8 @@ def run_benchmark() -> dict:
         ),
         "query_scaling": _query_scaling(),
     }
-    previous = _load_report()
-    history = previous.get("history", [])
-    if not history and previous.get("schema") == "tb-fleet-ingest-bench/1":
-        # Carry the schema/1 single-collector number forward as the
-        # pre-parallelism baseline so the first /2 entry has context.
-        history = [
-            {
-                "schema": previous["schema"],
-                "submissions": previous.get("submissions"),
-                "stored": previous.get("stored"),
-                "parallel": {"snaps_per_sec": previous.get("snaps_per_sec")},
-            }
-        ]
-    history.append(entry)
-    report = {
-        "schema": SCHEMA,
-        "latest": entry,
-        "history": history[-HISTORY_LIMIT:],
-    }
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    record(OUTPUT_PATH, SECTION, entry)
     return entry
-
-
-def check_regression() -> int:
-    """Exit status for ``--check``: 1 when ingest regressed > 25%."""
-    report = _load_report()
-    history = report.get("history", [])
-    if len(history) < 2:
-        print(f"bench_fleet_ingest --check: {len(history)} history "
-              "entr(ies) in BENCH_fleet.json, nothing to compare")
-        return 0
-    prev = history[-2]["parallel"]["snaps_per_sec"]
-    last = history[-1]["parallel"]["snaps_per_sec"]
-    if prev and last < prev * (1 - REGRESSION_TOLERANCE):
-        print(
-            f"bench_fleet_ingest --check: FAIL — parallel ingest "
-            f"{last:,.0f} snaps/s is down "
-            f"{(1 - last / prev):.0%} from previous {prev:,.0f} snaps/s "
-            f"(tolerance {REGRESSION_TOLERANCE:.0%})"
-        )
-        return 1
-    print(
-        f"bench_fleet_ingest --check: ok — parallel ingest "
-        f"{last:,.0f} snaps/s vs previous {prev:,.0f} snaps/s"
-    )
-    return 0
 
 
 def _render(entry: dict) -> str:
@@ -462,6 +388,4 @@ def test_fleet_ingest(report):
 
 
 if __name__ == "__main__":
-    if "--check" in sys.argv[1:]:
-        raise SystemExit(check_regression())
-    print(_render(run_benchmark()))
+    main(OUTPUT_PATH, SECTION, GUARDED, run_benchmark, _render)

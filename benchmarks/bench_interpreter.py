@@ -21,25 +21,23 @@ this benchmark holds it to its contract:
   differential suite in ``tests/vm/test_differential.py`` checks full
   state; this cross-checks the summary numbers on the real workloads).
 
-Results keep a bounded ``history`` array (BENCH_fleet style)::
-
-    PYTHONPATH=src python benchmarks/bench_interpreter.py          # measure
-    PYTHONPATH=src python benchmarks/bench_interpreter.py --check  # guard
-
-``--check`` compares the two most recent history entries and fails on a
->25% regression in block-engine geo-mean speedup or bulk-decode
-speedup; fewer than two entries is not an error.  The ``replay``
-section maintained by ``bench_replay.py`` is carried over untouched.
+Each run appends its report to the ``engines`` section of
+``BENCH_interpreter.json``; ``--check`` guards the block geo-mean and
+the decode speedup (``benchmarks/_harness.py``).
 """
 
 from __future__ import annotations
 
-import json
+import os
 import sys
 import time
-from pathlib import Path
 from statistics import geometric_mean
 
+# Importable both as benchmarks.bench_interpreter (pytest, repo root on
+# sys.path) and as a direct script (only benchmarks/ on sys.path).
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from benchmarks._harness import INTERPRETER, main, record  # noqa: E402
 from repro.lang.minic import compile_source
 from repro.runtime.records import (
     _DAG_CACHE,
@@ -52,7 +50,9 @@ from repro.runtime.records import (
 from repro.workloads.harness import format_table, run_once
 from repro.workloads.specint import benchmark_named
 
-SCHEMA = "tbvm-interpreter-bench/2"
+OUTPUT_PATH = INTERPRETER
+SECTION = "engines"
+GUARDED = {"geo_mean.block": "higher", "decode.speedup": "higher"}
 
 #: Engine tiers, slowest first; speedups are relative to the first.
 TIERS = ("reference", "block")
@@ -70,17 +70,10 @@ REPEATS = 3
 MIN_BLOCK_GEO_MEAN_SPEEDUP = 4.0
 MIN_DECODE_SPEEDUP = 3.0
 
-#: ``--check`` tolerance between the two most recent history entries.
-REGRESSION_TOLERANCE = 0.25
-
-HISTORY_LIMIT = 20
-
 #: Decode subject size (words).  Mostly single-word DAG records with the
 #: occasional multi-word extended record — the shape real trace rings
 #: have — plus a zeroed tail.
 DECODE_WORDS = 1 << 18
-
-OUTPUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_interpreter.json"
 
 
 def _measure(name: str) -> dict:
@@ -135,30 +128,40 @@ def _decode_subject() -> list[int]:
 
 
 def _measure_decode() -> dict:
-    """Scalar vs bulk resync-scan throughput on the synthetic ring."""
+    """Scalar vs bulk resync-scan throughput on the synthetic ring.
+
+    Repeats are interleaved across the two scanners, as ``_measure``
+    interleaves tiers, and each call's ~250k records are dropped before
+    the next timed call: a scanner timed after the other's garbage, or
+    after its own, pays for the collector's passes over it.
+    """
     words = _decode_subject()
     n = len(words)
     _DAG_CACHE.clear()  # the bulk path earns its warm cache itself
-    results = {}
-    for label, scanner in (
-        ("scalar", read_forward_salvage),
-        ("bulk", read_forward_salvage_bulk),
-    ):
-        best = None
-        records = None
-        for _ in range(REPEATS):
+    scanners = {
+        "scalar": read_forward_salvage,
+        "bulk": read_forward_salvage_bulk,
+    }
+    best: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    for _ in range(REPEATS):
+        for label, scanner in scanners.items():
             start = time.perf_counter()
             records, lost = scanner(words, 0, n)
             seconds = time.perf_counter() - start
             assert lost == 0
-            if best is None or seconds < best:
-                best = seconds
-        results[label] = {
-            "seconds": round(best, 4),
-            "words_per_sec": round(n / best),
-            "records": len(records),
+            counts[label] = len(records)
+            del records
+            best[label] = min(seconds, best.get(label, seconds))
+    assert counts["bulk"] == counts["scalar"]
+    results = {
+        label: {
+            "seconds": round(best[label], 4),
+            "words_per_sec": round(n / best[label]),
+            "records": counts[label],
         }
-    assert results["bulk"]["records"] == results["scalar"]["records"]
+        for label in scanners
+    }
     results["speedup"] = round(
         results["bulk"]["words_per_sec"] / results["scalar"]["words_per_sec"], 3
     )
@@ -206,73 +209,9 @@ def run_benchmark() -> dict:
     }
     decode = _measure_decode()
 
-    report = {
-        "schema": SCHEMA,
-        "workloads": rows,
-        "geo_mean": geo_mean,
-        "decode": decode,
-    }
-    # Other benchmarks (bench_replay) keep their own sections in the
-    # same file; carry them over — and our own history — rather than
-    # clobbering.
-    try:
-        previous = json.loads(OUTPUT_PATH.read_text())
-    except (OSError, ValueError):
-        previous = {}
-    # The retired tier-2 engine's geo mean, a copy of ``geo_mean``.
-    previous.pop("geo_mean_speedup", None)
-    history = previous.get("history", [])
-    history.append(
-        {
-            "geo_mean": geo_mean,
-            "decode_speedup": decode["speedup"],
-            "block_ips_gzip": rows[0]["engines"]["block"]["ips"],
-        }
-    )
-    report["history"] = history[-HISTORY_LIMIT:]
-    for key, value in previous.items():
-        report.setdefault(key, value)
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    report = {"workloads": rows, "geo_mean": geo_mean, "decode": decode}
+    record(OUTPUT_PATH, SECTION, report)
     return report
-
-
-def check_regression() -> int:
-    """Exit 1 when block geo-mean or decode speedup regressed >25%
-    between the two most recent history entries."""
-    try:
-        report = json.loads(OUTPUT_PATH.read_text())
-    except (OSError, ValueError):
-        report = {}
-    history = report.get("history", [])
-    if len(history) < 2:
-        print(
-            f"bench_interpreter --check: {len(history)} history "
-            "entr(ies) in BENCH_interpreter.json, nothing to compare"
-        )
-        return 0
-    prev, last = history[-2], history[-1]
-    failed = False
-    for label, get in (
-        ("block geo-mean speedup", lambda h: h["geo_mean"]["block"]),
-        ("decode speedup", lambda h: h["decode_speedup"]),
-    ):
-        try:
-            before, after = get(prev), get(last)
-        except (KeyError, TypeError):
-            continue  # metric introduced since the older entry
-        if after < before * (1 - REGRESSION_TOLERANCE):
-            print(
-                f"bench_interpreter --check: FAIL — {label} {after:.2f}x "
-                f"is down {(1 - after / before):.0%} from previous "
-                f"{before:.2f}x (tolerance {REGRESSION_TOLERANCE:.0%})"
-            )
-            failed = True
-        else:
-            print(
-                f"bench_interpreter --check: ok — {label} {after:.2f}x "
-                f"vs previous {before:.2f}x"
-            )
-    return 1 if failed else 0
 
 
 def _render(report: dict) -> str:
@@ -327,6 +266,4 @@ def test_engine_and_decode_speedups(report):
 
 
 if __name__ == "__main__":
-    if "--check" in sys.argv[1:]:
-        sys.exit(check_regression())
-    print(_render(run_benchmark()))
+    main(OUTPUT_PATH, SECTION, GUARDED, run_benchmark, _render)

@@ -24,17 +24,10 @@ multithreaded subjects:
   reported as guest instructions per second; ``replay_vs_record`` is
   their ratio.
 
-Results merge into a ``replay`` section of ``BENCH_interpreter.json``
-(its own ``latest`` + ``history``, so the interpreter benchmark's
-report shape is untouched)::
-
-    PYTHONPATH=src python benchmarks/bench_replay.py          # measure
-    PYTHONPATH=src python benchmarks/bench_replay.py --check  # guard
-
-``--check`` compares ``replay_ips`` and the v2 compressed
-bytes-per-event between the two most recent history entries and fails
-on a >25% regression of either; fewer than two entries (or entries
-predating a metric) is not an error.
+Each run appends its entry to the ``replay`` section of
+``BENCH_interpreter.json``; ``--check`` guards replay and record
+throughput and the v2 compressed bytes-per-event
+(``benchmarks/_harness.py``).
 
 Also runs in the slow pytest lane.
 """
@@ -50,6 +43,7 @@ from pathlib import Path
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+from benchmarks._harness import INTERPRETER, main, record  # noqa: E402
 from repro import TraceSession
 from repro.replay import ReplayEngine
 from repro.runtime import RuntimeConfig, SnapPolicy
@@ -58,9 +52,13 @@ from repro.runtime.snap import SnapFile
 from repro.runtime.sync import reset_runtime_ids
 from repro.workloads.harness import format_table
 
-SCHEMA = "tb-replay-bench/1"
-
-OUTPUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_interpreter.json"
+OUTPUT_PATH = INTERPRETER
+SECTION = "replay"
+GUARDED = {
+    "replay_ips": "higher",
+    "record.ips": "higher",
+    "long_run.compressed_bytes_per_event": "lower",
+}
 
 #: Best-of-N wall clock to damp scheduler noise.
 REPEATS = 3
@@ -82,9 +80,6 @@ MAX_BYTES_PER_EVENT_V2 = 0.85
 
 #: Required v1->v2 shrink of the log's share of the archive.
 MIN_V2_REDUCTION = 5.0
-
-#: ``--check`` tolerance on replay instructions/second.
-REGRESSION_TOLERANCE = 0.25
 
 #: Three workers grind a division-free loop, then every one of them
 #: trips the same division at its loop exit; the first to get there
@@ -278,78 +273,8 @@ def run_benchmark() -> dict:
         "replay_vs_record": round(replay_ips / record_ips, 3),
     }
 
-    try:
-        report = json.loads(OUTPUT_PATH.read_text())
-    except (OSError, ValueError):
-        report = {}
-    section = report.setdefault(
-        "replay", {"schema": SCHEMA, "latest": {}, "history": []}
-    )
-    section["latest"] = entry
-    section.setdefault("history", []).append(entry)
-    section["history"] = section["history"][-20:]
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    record(OUTPUT_PATH, SECTION, entry)
     return entry
-
-
-def check_regression() -> int:
-    """Exit 1 when replay throughput dropped or the packed log's
-    compressed bytes-per-event grew by >25% between the two most
-    recent history entries."""
-    try:
-        report = json.loads(OUTPUT_PATH.read_text())
-    except (OSError, ValueError):
-        report = {}
-    history = report.get("replay", {}).get("history", [])
-    failed = False
-
-    rates = [
-        h["replay_ips"] for h in history if h.get("replay_ips")
-    ]
-    if len(rates) < 2:
-        print(f"bench_replay --check: {len(rates)} replay history "
-              "entr(ies) in BENCH_interpreter.json, nothing to compare")
-    else:
-        prev, last = rates[-2], rates[-1]
-        if last < prev * (1 - REGRESSION_TOLERANCE):
-            print(
-                f"bench_replay --check: FAIL — replay throughput "
-                f"{last:,.0f} ips is down {(1 - last / prev):.0%} from "
-                f"previous {prev:,.0f} ips "
-                f"(tolerance {REGRESSION_TOLERANCE:.0%})"
-            )
-            failed = True
-        else:
-            print(
-                f"bench_replay --check: ok — replay throughput "
-                f"{last:,.0f} ips vs previous {prev:,.0f} ips"
-            )
-
-    # v2 size rows only exist in entries recorded since tb-ndlog/2.
-    sizes = [
-        h["long_run"]["compressed_bytes_per_event"]
-        for h in history
-        if "v2_reduction" in h.get("long_run", {})
-    ]
-    if len(sizes) < 2:
-        print(f"bench_replay --check: {len(sizes)} v2 size entr(ies), "
-              "nothing to compare")
-    else:
-        prev, last = sizes[-2], sizes[-1]
-        if last > prev * (1 + REGRESSION_TOLERANCE):
-            print(
-                f"bench_replay --check: FAIL — v2 log cost "
-                f"{last:.3f} B/event is up {(last / prev - 1):.0%} from "
-                f"previous {prev:.3f} B/event "
-                f"(tolerance {REGRESSION_TOLERANCE:.0%})"
-            )
-            failed = True
-        else:
-            print(
-                f"bench_replay --check: ok — v2 log cost {last:.3f} "
-                f"B/event vs previous {prev:.3f} B/event"
-            )
-    return 1 if failed else 0
 
 
 def _render(entry: dict) -> str:
@@ -401,6 +326,4 @@ def test_replay_overhead_and_throughput(report):
 
 
 if __name__ == "__main__":
-    if "--check" in sys.argv:
-        sys.exit(check_regression())
-    print(_render(run_benchmark()))
+    main(OUTPUT_PATH, SECTION, GUARDED, run_benchmark, _render)

@@ -1,9 +1,15 @@
 #!/usr/bin/env bash
 # Repo check entry points.
 #
+# Every lane that runs a trend benchmark also runs its guard: the run
+# appends one entry to its section of BENCH_interpreter.json or
+# BENCH_fleet.json, then `--check` compares the newest entry's guarded
+# keys with the median of up to five earlier entries and fails on a
+# >25% regression (benchmarks/_harness.py).
+#
 #   scripts/check.sh test-fast   default lane: everything not marked slow
-#                                (the tier-1 gate: 1337 tests, 53-56 s,
-#                                55-57 s wall on a 2-core host)
+#                                (the tier-1 gate: 1349 tests, 52-58 s,
+#                                53-60 s wall on a 2-core host)
 #   scripts/check.sh test-all    full lane: fast tests + slow tests +
 #                                every paper-table benchmark
 #   scripts/check.sh chaos       fault-injection suite: every chaos
@@ -11,14 +17,14 @@
 #                                sweep (includes the slow lane)
 #   scripts/check.sh fleet       snap-vault subsystem: store/collector/
 #                                incident/index/parallel tests plus the
-#                                vault ingest benchmark; writes
-#                                BENCH_fleet.json
+#                                vault ingest benchmark and its guard
+#                                (BENCH_fleet.json ingest)
 #   scripts/check.sh gc          retention/compaction subsystem: the
 #                                policy + pin tests, the crash-injection
 #                                fuzz sweep (200+ seeded kills), and the
 #                                GC benchmark (reclaim rate + ingest
-#                                throughput under compaction) merged
-#                                into BENCH_fleet.json
+#                                throughput under compaction) and its
+#                                guard (BENCH_fleet.json gc)
 #   scripts/check.sh triage      crash-signature triage subsystem: the
 #                                signature/bucket/report unit tests, the
 #                                cross-seed differential against chaos
@@ -34,16 +40,17 @@
 #                                missing roots), the seeded query-chaos
 #                                fuzz sweep (120+ seeds), and the
 #                                federation benchmark (fan-out latency
-#                                + one-slow-vault overhead) merged into
-#                                BENCH_fleet.json
+#                                + one-slow-vault overhead) and its
+#                                guard (BENCH_fleet.json federation)
 #   scripts/check.sh replay      time-travel replay subsystem: the
 #                                ndlog/engine/CLI/vault-verify unit
 #                                tests, the full differential sweep
 #                                (examples + 60+ seeded random
 #                                multithreaded crashers, instrumented
 #                                and bare), and the replay benchmark
-#                                (ndlog overhead + replay throughput)
-#                                merged into BENCH_interpreter.json
+#                                (ndlog overhead + replay and record
+#                                throughput) and its guard
+#                                (BENCH_interpreter.json replay)
 #   scripts/check.sh tier3       block-compiled engine subsystem: the
 #                                two-engine differential suite, the
 #                                tier-3 unit tests (the CALL, CALLR,
@@ -59,7 +66,8 @@
 #                                is what blocks, sleeps and hands off
 #                                locks), and the interpreter benchmark
 #                                (engine speedup + decode throughput)
-#                                with its >25% regression guard
+#                                and its guard (BENCH_interpreter.json
+#                                engines)
 #   scripts/check.sh perf        pipeline benchmark smoke: one traced
 #                                crash-triage run (1 s window, at least
 #                                four full-scale cycles), one traced
@@ -78,13 +86,14 @@
 #                                replay stopping at the fault with the
 #                                recorded signature and the recording
 #                                repeating
-#   scripts/check.sh bench       interpreter + fleet-ingest + fleet-GC +
-#                                federation + replay benchmarks; writes
-#                                BENCH_interpreter.json and
-#                                BENCH_fleet.json, then fails if fleet
-#                                ingest, GC reclaim, federated query, or
-#                                replay throughput regressed >25% vs the
-#                                previous history entry
+#   scripts/check.sh bench       the five trend benchmarks: interpreter,
+#                                replay, fleet ingest, fleet GC and
+#                                federation; each appends one entry,
+#                                then the one guard checks all five:
+#                                block geo-mean and decode speedup,
+#                                replay and record ips and packed ndlog
+#                                bytes/event, parallel ingest snaps/s,
+#                                reclaim B/s, federated queries/s
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
@@ -102,7 +111,8 @@ case "${1:-test-fast}" in
     ;;
   fleet)
     python -m pytest -q tests/fleet -m "slow or not slow"
-    exec python benchmarks/bench_fleet_ingest.py
+    python benchmarks/bench_fleet_ingest.py
+    exec python benchmarks/bench_fleet_ingest.py --check
     ;;
   gc)
     python -m pytest -q tests/fleet/test_retention.py \
@@ -159,6 +169,7 @@ case "${1:-test-fast}" in
     python benchmarks/bench_fleet_gc.py
     python benchmarks/bench_fleet_federation.py
     python benchmarks/bench_replay.py
+    python benchmarks/bench_interpreter.py --check
     python benchmarks/bench_fleet_ingest.py --check
     python benchmarks/bench_fleet_gc.py --check
     python benchmarks/bench_fleet_federation.py --check

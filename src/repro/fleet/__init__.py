@@ -6,12 +6,12 @@ Five layers turn per-session snaps into durable, queryable evidence:
   (content-hash dedupe, atomic writes, JSON-lines manifests, a
   rebuildable machine/process/reason/timestamp index); concurrent
   multi-collector ingest under shard-level single-writer locks, with
-  the CPU-heavy per-snap work factored into :func:`prepare_snap` for
-  worker pools;
+  the CPU-heavy per-snap work factored into :func:`prepare_snap`, which
+  each collector runs on its own thread;
 * :mod:`repro.fleet.collector` — the uplink service processes forward
   snaps through (batching, bounded queue with back-pressure, seeded
-  retry-with-backoff over the simulated network, pipelined
-  preparation overlapping transfer);
+  retry-with-backoff over the simulated network, batches prepared on
+  the collector's thread and committed with one ``put_batch``);
 * :mod:`repro.fleet.index` — the persisted, incrementally-maintained
   incident index (``incidents.idx``): correlation moves to ingest
   time, queries read a precomputed partition;

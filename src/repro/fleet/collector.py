@@ -25,29 +25,30 @@ the chaos the fleet actually serves up:
 * **deterministic close** — :meth:`Collector.close` flushes what it
   can and dead-letters the rest; a close racing an in-flight drain can
   never silently drop an accepted snap;
-* **pipelined preparation** — with a worker pool attached, the
-  CPU-heavy per-snap work (content digest, TBSZ2 compression, SYNC-id
+* **prepared batches** — each delivered batch is prepared on the
+  collector's own thread (content digest, TBSZ2 compression, SYNC-id
   and crash-signature mining — :func:`repro.fleet.store.prepare_snap`)
-  starts the moment a snap is submitted, so digesting overlaps the
-  network transfer, and duplicates the vault already knows are caught
-  *before* they are compressed at all.
+  and committed with one :meth:`~repro.fleet.store.SnapVault.put_batch`;
+  duplicates the vault already knows are caught *before* they are
+  compressed at all.
 
 Multiple collectors may feed one vault concurrently — the vault's
 index lock and per-shard manifest locks make that safe — but each
-collector instance belongs to a single ingest thread.
+collector instance belongs to a single ingest thread.  Parallel ingest
+is several collectors on their own threads; with no real network
+transfer to overlap, a worker pool preparing snaps for them would only
+add GIL convoying.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.fleet.metrics import FleetMetrics
 from repro.fleet.store import (
-    PreparedSnap,
     SnapVault,
     StoreResult,
     content_digest,
@@ -100,20 +101,13 @@ class PendingUpload:
     attempts: int = 0
     #: Backoff delay (cycles) charged before each retry, for the record.
     backoffs: list[int] = field(default_factory=list)
-    #: In-flight or finished preparation (worker-pool stage); reused
-    #: across retries so a redelivered snap is never re-compressed.
-    prepared: "Future | PreparedSnap | None" = None
     #: Cached content digest (the GC pin protocol asks for it).
     _digest: str | None = None
 
     def digest(self) -> str:
         """Content digest of the queued snap, computed once."""
         if self._digest is None:
-            prepared = self.prepared
-            if isinstance(prepared, PreparedSnap):
-                self._digest = prepared.digest
-            else:
-                self._digest = content_digest(self.snap)
+            self._digest = content_digest(self.snap)
         return self._digest
 
 
@@ -132,16 +126,11 @@ class Collector:
         backoff_max: int | None = None,
         seed: int = 0,
         metrics: FleetMetrics | None = None,
-        workers: int = 0,
-        executor: "Executor | None" = None,
-        pipelined: bool = True,
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
         self.vault = vault
         self.network = network
         self.name = name
@@ -173,19 +162,6 @@ class Collector:
         #: Collector-local chaos hook; ``network.upload_chaos`` also
         #: applies when a network is attached.
         self.upload_chaos: UploadChaos | None = None
-        #: ``pipelined=False`` restores the PR 3 wire behavior exactly:
-        #: one ``vault.put`` (with its own fsync and manifest line) per
-        #: delivered snap.  It exists for the benchmark baseline and
-        #: for bisecting pipeline regressions.
-        self.pipelined = pipelined
-        self._own_executor = workers > 0
-        self.executor: Executor | None = executor
-        if workers > 0:
-            if executor is not None:
-                raise ValueError("pass either workers or executor, not both")
-            self.executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix=f"{name}-prep"
-            )
         self._closed = False
         # The GC pin protocol: content this collector still holds
         # (queued or dead-lettered) must not be collected out of the
@@ -212,8 +188,7 @@ class Collector:
         or moves to the dead-letter list (``close_dead_letters`` counts
         them) — closing can never silently lose an accepted snap, even
         when it races an in-flight :meth:`drain` from another thread.
-        Also shuts down a collector-owned worker pool.  Idempotent;
-        submissions after close dead-letter immediately.
+        Idempotent; submissions after close dead-letter immediately.
         """
         if self._closed:
             return
@@ -229,10 +204,6 @@ class Collector:
             item = self.queue.popleft()
             self.dead.append(item)
             self.metrics.bump(dead_letters=1, close_dead_letters=1)
-        if self._own_executor and self.executor is not None:
-            self.executor.shutdown(wait=True)
-            self.executor = None
-            self._own_executor = False
 
     # ------------------------------------------------------------------
     # Intake
@@ -257,17 +228,7 @@ class Collector:
             # Still full (everything bounced): evict the oldest entry.
             self.queue.popleft()
             self.metrics.bump(evicted=1)
-        item = PendingUpload(machine=snap.machine_name, snap=snap)
-        if self.pipelined and self.executor is not None:
-            # Start digesting now; it overlaps the upcoming transfer.
-            item.prepared = self.executor.submit(
-                prepare_snap,
-                snap,
-                self.vault.compress_level,
-                self.vault.contains,
-                self.vault.sign,
-            )
-        self.queue.append(item)
+        self.queue.append(PendingUpload(machine=snap.machine_name, snap=snap))
         self.metrics.bump_peak("queue_peak", len(self.queue))
 
     def pending(self) -> int:
@@ -303,19 +264,6 @@ class Collector:
             return False
         return True
 
-    def _prepared(self, item: PendingUpload) -> PreparedSnap:
-        """The item's preparation result, computing inline if needed."""
-        if isinstance(item.prepared, Future):
-            item.prepared = item.prepared.result()
-        if item.prepared is None:
-            item.prepared = prepare_snap(
-                item.snap,
-                self.vault.compress_level,
-                self.vault.contains,
-                self.vault.sign,
-            )
-        return item.prepared
-
     def flush_batch(self) -> int:
         """Upload one batch; returns how many snaps landed in the vault.
 
@@ -344,12 +292,14 @@ class Collector:
             self.queue.append(item)
         if not delivered:
             return 0
-        if self.pipelined:
-            self.results.extend(
-                self.vault.put_batch([self._prepared(i) for i in delivered])
+        vault = self.vault
+        prepared = [
+            prepare_snap(
+                item.snap, vault.compress_level, vault.contains, vault.sign
             )
-        else:
-            self.results.extend(self.vault.put(i.snap) for i in delivered)
+            for item in delivered
+        ]
+        self.results.extend(vault.put_batch(prepared))
         self.metrics.bump(uploads=len(delivered))
         return len(delivered)
 

@@ -26,8 +26,8 @@ Concurrency model (the multi-collector ingest pipeline):
 
 * the CPU-heavy per-snap work — canonical-JSON digest, TBSZ2
   compression, SYNC-id salvage mining — lives in :func:`prepare_snap`,
-  which collectors run in a worker pool so digesting overlaps network
-  transfer;
+  which each collector runs on its own thread, outside every vault
+  lock;
 * one **index lock** serializes dedupe checks, sequence assignment,
   and incident-index maintenance (so incident edges are applied in
   ingest-sequence order even under concurrent collectors);
@@ -251,13 +251,13 @@ class StoreResult:
 
 @dataclass
 class PreparedSnap:
-    """The CPU-heavy half of a store, done off the ingest hot path.
+    """The CPU-heavy half of a store, done outside the vault's locks.
 
-    Collectors run :func:`prepare_snap` in a worker pool while the
-    (simulated) network transfer is in flight; the vault's commit then
-    only touches disk and dictionaries.  ``data is None`` marks an
-    early dedupe: the digest was already known when preparation ran,
-    so compression and SYNC mining were skipped.
+    Collectors run :func:`prepare_snap` on their own threads before
+    :meth:`SnapVault.put_batch`; the vault's commit then only touches
+    disk and dictionaries.  ``data is None`` marks an early dedupe: the
+    digest was already known when preparation ran, so compression and
+    SYNC mining were skipped.
     """
 
     snap: SnapFile
@@ -293,7 +293,7 @@ def prepare_snap(
     known=None,
     signer=None,
 ) -> PreparedSnap:
-    """Digest, mine, and compress one snap (worker-pool stage).
+    """Digest, mine, and compress one snap (the collector's stage).
 
     ``known`` is an optional ``digest -> bool`` predicate (typically
     :meth:`SnapVault.contains`): when it already knows the digest, the
@@ -303,8 +303,9 @@ def prepare_snap(
     never correctness.
 
     ``signer`` is an optional ``snap -> str | None`` (typically
-    :meth:`SnapVault.sign`) mining the crash signature here, in the
-    worker pool, instead of under the vault's index lock at commit.
+    :meth:`SnapVault.sign`) mining the crash signature here, on the
+    collector's thread, instead of under the vault's index lock at
+    commit.
     """
     digest = content_digest(snap)
     if known is not None and known(digest):
