@@ -8,8 +8,8 @@
 # >25% regression (benchmarks/_harness.py).
 #
 #   scripts/check.sh test-fast   default lane: everything not marked slow
-#                                (the tier-1 gate: 1349 tests, 52-58 s,
-#                                53-60 s wall on a 2-core host)
+#                                (the tier-1 gate: 1364 tests, 52-54 s,
+#                                55 s wall on a 2-core host)
 #   scripts/check.sh test-all    full lane: fast tests + slow tests +
 #                                every paper-table benchmark
 #   scripts/check.sh chaos       fault-injection suite: every chaos
@@ -56,7 +56,12 @@
 #                                tier-3 unit tests (the CALL, CALLR,
 #                                CALLX, SYS and HALT terminators
 #                                checked against the reference in
-#                                partial runs), the full cross-engine
+#                                partial runs), the lap-stop sweep
+#                                (a lone thread's merged slices stop
+#                                where per-quantum slices do: kernels,
+#                                crashers and the transitions program
+#                                in max_cycles laps at four quanta, on
+#                                both engines), the full cross-engine
 #                                replay sweep (62 seeded crashers
 #                                recorded on block and replayed on
 #                                reference, and the other way round),
@@ -144,8 +149,8 @@ case "${1:-test-fast}" in
     ;;
   tier3)
     python -m pytest -q tests/vm/test_differential.py tests/vm/test_blocks.py \
-      tests/replay/test_cross_engine.py tests/replay/test_schedule_golden.py \
-      -m "slow or not slow"
+      tests/vm/test_lap_stops.py tests/replay/test_cross_engine.py \
+      tests/replay/test_schedule_golden.py -m "slow or not slow"
     python benchmarks/bench_interpreter.py
     exec python benchmarks/bench_interpreter.py --check
     ;;

@@ -29,13 +29,18 @@ Every code word of a module belongs to exactly one unit, so the engine
 never dispatches instruction by instruction.  A unit can be entered at
 any of its instructions and stopped after any of them — a *partial
 run*, compiled beside the whole-run function as ``part(machine, thread,
-start, stop)``.  Scheduler slices end wherever their quantum runs out,
-so the next slice usually starts mid-unit; it runs the rest of that unit
-as a partial run, and a unit longer than the remaining quantum runs only
-its first instructions the same way.  Where units start is a
-performance choice, not a correctness one: CFG leaders
-(``repro.analysis.cfg``) make branch targets, return points and handler
-entries start whole units, and nothing else depends on them.
+start, stop)``.  A slice that ends mid-unit stops with a partial run,
+and the next slice of that thread starts with one.  Per-quantum slices
+(several runnable threads, a replay recorder, replay's forced slices)
+end wherever their quantum runs out, so they split a unit at most
+boundaries.  A lone runnable thread's quanta run back to back in one
+slice that runs a unit straddling a quantum boundary whole
+(``Machine._run_slice_block``), so a single-threaded run splits units
+only where it stops: at ``max_cycles``, a wake, or a change of runnable
+threads.  Where units start is a performance choice, not a correctness
+one: CFG leaders (``repro.analysis.cfg``) make branch targets, return
+points and handler entries start whole units, and nothing else depends
+on them.
 
 Bit-identity with the reference interpreter is non-negotiable (the
 differential suite in ``tests/vm/test_differential.py`` runs both
@@ -53,6 +58,11 @@ engines against each other).  The subtle cases:
 * **slice boundaries** — a slice retires exactly its quantum, because a
   unit that does not fit runs partially; replay's forced slices and
   ``chunk=1`` breakpoint stepping land on exact instruction boundaries.
+  A merged slice runs a unit through a boundary only where the
+  scheduler would cross it: the unit ends by the slice's cycle horizon
+  and the boundary falls in its fused part, which charges one cycle per
+  instruction and runs no hooks.  It keeps counting quanta through the
+  unit, so it stops on the boundary a per-quantum run would stop on.
 * **code rewriting** — units are compiled from the *live* decode cache
   (``loaded.decoded``) and looked up by the code image it was decoded
   from, and ``LoadedModule.refresh_decode_cache`` drops the bound table,
@@ -81,8 +91,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vm.loader import LoadedModule
 
 #: Longest unit emitted.  Any length is correct (a unit that does not
-#: fit the rest of a slice runs partially); at 20, two whole units fit
-#: the default QUANTUM=40.
+#: fit the rest of a slice runs partially).  A lone thread's merged
+#: slices run units through quantum boundaries whole whatever their
+#: length, but per-quantum slices (several runnable threads, recording,
+#: replay) run a unit whole only if it fits the rest of the quantum: at
+#: 20, two whole units fit the default QUANTUM=40.
 MAX_UNIT = 20
 
 #: Most compiled units :data:`UNIT_CACHE` holds.  A unit's code objects

@@ -25,6 +25,7 @@ Faithfulness notes relative to the paper:
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable
@@ -452,7 +453,18 @@ class Machine:
         blocked and some wait on the clock, the clock fast-forwards to
         the earliest wake.  The thread lists are :meth:`thread_lists`'s
         cached ones, so one thread or many, a slice costs the same.
+
+        When one thread is runnable and no slice hooks are attached, the
+        scheduler would pick it again at every quantum boundary until
+        the clock reaches ``max_cycles`` or the earliest timed wake, or
+        something moves ``sched_epoch`` or posts a signal.  So it gets
+        one slice with that cycle horizon, and the block engine runs its
+        quanta back to back (:meth:`_run_slice_block`).  Every boundary
+        stays where it was: the run stops, wakes threads, and switches
+        threads on the same instruction as with one slice per quantum.
         """
+        if quantum < 1:
+            raise ValueError(f"quantum must be at least 1 instruction, got {quantum}")
         while True:
             if max_cycles is not None and self.cycles >= max_cycles:
                 return "limit"
@@ -474,7 +486,15 @@ class Machine:
             self._rr_index %= len(runnable)
             thread = runnable[self._rr_index]
             self._rr_index += 1
-            self._observed_slice(thread, quantum)
+            if self.slice_hooks or len(runnable) > 1:
+                self._observed_slice(thread, quantum)
+                continue
+            horizon = self._next_wake
+            if max_cycles is not None and (horizon is None or max_cycles < horizon):
+                horizon = max_cycles
+            self.run_thread_slice(
+                thread, quantum, horizon=math.inf if horizon is None else horizon
+            )
 
     def _observed_slice(self, thread: Thread, quantum: int) -> None:
         """One scheduler slice, with the slice hooks around it."""
@@ -485,8 +505,20 @@ class Machine:
         for hook in hooks:
             hook.slice_end(thread)
 
-    def run_thread_slice(self, thread: Thread, quantum: int) -> None:
-        """Run up to ``quantum`` instructions of one thread."""
+    def run_thread_slice(
+        self, thread: Thread, quantum: int, *, horizon: float | None = None
+    ) -> None:
+        """Run up to ``quantum`` instructions of one thread.
+
+        ``horizon`` is :meth:`run`'s cycle horizon for a lone runnable
+        thread: the block engine then goes on past each quantum boundary
+        the clock reaches before it, as long as nothing moved
+        ``sched_epoch`` or posted a signal.  The reference engine
+        ignores it and keeps one quantum per slice, the oracle the merged
+        slices are checked against.  Without one, as replay's forced
+        slices call it, the slice ends after ``quantum`` instructions
+        (none for a prologue-only ``quantum`` of 0).
+        """
         process = thread.process
         memory = process.memory
         if memory._cache_owner is not thread:
@@ -501,7 +533,7 @@ class Machine:
             if not thread.runnable():
                 return
         if self.engine == "block":
-            self._run_slice_block(thread, process, quantum)
+            self._run_slice_block(thread, process, quantum, horizon)
             return
         for _ in range(quantum):
             if not process.alive or not thread.runnable():
@@ -509,7 +541,11 @@ class Machine:
             self.step(thread)
 
     def _run_slice_block(
-        self, thread: Thread, process: Process, quantum: int
+        self,
+        thread: Thread,
+        process: Process,
+        quantum: int,
+        horizon: float | None,
     ) -> None:
         """The tier-3 hot loop: compiled-unit dispatch.
 
@@ -517,12 +553,26 @@ class Machine:
         unit when the pc is its first instruction and it fits the
         remaining quantum, else a partial run from the pc's index in the
         unit up to the unit's end or the quantum's, whichever comes
-        first.  So a slice retires exactly ``quantum`` instructions
-        (unless the thread blocks, ends or faults), and replay's forced
-        slices and ``chunk=1`` breakpoint stepping stay exact.  The unit
-        table covers every code word; it is bound lazily on first
-        execution and re-read through the attribute every iteration, so
-        a decode-cache refresh (code rewriting) takes effect immediately.
+        first.  So a slice without a ``horizon`` retires exactly
+        ``quantum`` instructions (unless the thread blocks, ends or
+        faults), and replay's forced slices and ``chunk=1`` breakpoint
+        stepping stay exact.
+
+        With a ``horizon`` the slice crosses a quantum boundary wherever
+        the scheduler would pick this thread again: the clock is below
+        the horizon, ``sched_epoch`` is where it was when the slice
+        began, and no signal is pending.  A unit that straddles a
+        boundary then runs to its end when its last instruction retires
+        by the horizon, since the boundary falls in its fused part, which
+        charges one cycle per instruction and runs no hooks.
+        ``remaining`` stays the count to the next boundary (modulo the
+        quantum: one unit can cross several), also after a fault, so
+        the slice ends on the boundary a per-quantum run would stop at.
+
+        The unit table covers every code word; it is bound lazily on
+        first execution and re-read through the attribute every
+        iteration, so a decode-cache refresh (code rewriting) takes
+        effect immediately.
         """
         loader = process.loader
         loaded: LoadedModule | None = thread.code_hint
@@ -534,46 +584,72 @@ class Machine:
             code_end = 0
         ready = ThreadState.READY
         running = ExitState.RUNNING
+        epoch = self.sched_epoch
         remaining = quantum
-        while remaining > 0:
-            if process.exit_state != running or thread.state is not ready:
-                return
-            pc = thread.pc
-            if pc < code_base or pc >= code_end or loaded.unloaded:
-                loaded = loader.find_code(pc)
-                thread.code_hint = loaded
-                if loaded is None:
-                    self._fault(
-                        thread,
-                        VMFault(ExcCode.ACCESS_VIOLATION, pc,
-                                f"execute of unmapped {pc:#x}"),
-                    )
-                    code_base = 1
-                    code_end = 0
-                    remaining -= 1
-                    continue
-                code_base = loaded.code_base
-                code_end = loaded.code_end
-            table = loaded.block_table
-            if table is None:
-                table = bind_units(loaded)
-            offset = pc - code_base
-            start, count, whole, part = table[offset]
-            before = thread.instructions
-            try:
-                if offset == start and count <= remaining:
-                    whole(self, thread)
-                    remaining -= count
-                else:
+        while True:
+            while remaining > 0:
+                if process.exit_state != running or thread.state is not ready:
+                    return
+                pc = thread.pc
+                if pc < code_base or pc >= code_end or loaded.unloaded:
+                    loaded = loader.find_code(pc)
+                    thread.code_hint = loaded
+                    if loaded is None:
+                        self._fault(
+                            thread,
+                            VMFault(ExcCode.ACCESS_VIOLATION, pc,
+                                    f"execute of unmapped {pc:#x}"),
+                        )
+                        code_base = 1
+                        code_end = 0
+                        remaining -= 1
+                        continue
+                    code_base = loaded.code_base
+                    code_end = loaded.code_end
+                table = loaded.block_table
+                if table is None:
+                    table = bind_units(loaded)
+                offset = pc - code_base
+                start, count, whole, part = table[offset]
+                before = thread.instructions
+                try:
+                    if offset == start and count <= remaining:
+                        whole(self, thread)
+                        remaining -= count
+                        continue
                     k = offset - start
-                    stop = k + remaining
-                    if stop > count:
-                        stop = count
-                    part(self, thread, k, stop)
-                    remaining -= stop - k
-            except VMFault as fault:
-                remaining -= thread.instructions - before
-                self._fault(thread, fault)
+                    if k + remaining >= count:
+                        part(self, thread, k, count)
+                        remaining -= count - k
+                    elif (
+                        horizon is None
+                        or self.cycles + count - k > horizon
+                        or self.sched_epoch != epoch
+                        or process.pending_signals
+                    ):
+                        part(self, thread, k, k + remaining)
+                        remaining = 0
+                    else:  # straddles boundaries the slice would cross
+                        if k:
+                            part(self, thread, k, count)
+                        else:
+                            whole(self, thread)
+                        remaining = (remaining - count + k) % quantum
+                except VMFault as fault:
+                    remaining -= thread.instructions - before
+                    if remaining < 0:
+                        remaining %= quantum
+                    self._fault(thread, fault)
+            # A quantum boundary: cross it only where the scheduler
+            # would pick this thread again.
+            if (
+                horizon is None
+                or self.cycles >= horizon
+                or self.sched_epoch != epoch
+                or process.pending_signals
+            ):
+                return
+            remaining = quantum
 
     # ------------------------------------------------------------------
     # Signals

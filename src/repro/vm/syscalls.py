@@ -30,7 +30,7 @@ class Sys:
     UNLOCK = 13  # release mutex r0
     RPC_CALL = 14  # r0=service, r1=arg addr, r2=arg len, r3=ret addr,
     #                r4=ret capacity; returns 0 or an exception code
-    YIELD = 15  # give up the rest of the quantum
+    YIELD = 15  # no-op costing its 3 cycles; the slice does not end
     RAND = 16  # deterministic per-process PRNG; returns 31-bit value
     GETTID = 17  # returns this thread's id
     SIGNAL = 18  # register handler address r1 for signal r0

@@ -16,6 +16,12 @@ I/O block, a signal posted by the host while its target sleeps, and a
 process exit with a thread still blocked on a lock.  Seeds 0-11 and
 the transitions program run in the default lane; seeds 12-61 are slow.
 
+The golden pins recorded runs only: the replay recorder is a slice
+hook, and slice hooks keep a run at one slice per quantum.  Unrecorded
+runs give a lone runnable thread merged slices instead; the lap-stop
+differential (``tests/vm/test_lap_stops.py``) checks that they stop,
+wake and switch threads where per-quantum slices do.
+
 The golden is ``tests/replay/golden/schedule_order.txt``; regenerate it,
 only after an intentional scheduling change, with::
 
