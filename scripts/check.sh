@@ -8,8 +8,8 @@
 # >25% regression (benchmarks/_harness.py).
 #
 #   scripts/check.sh test-fast   default lane: everything not marked slow
-#                                (the tier-1 gate: 1364 tests, 52-54 s,
-#                                55 s wall on a 2-core host)
+#                                (the tier-1 gate: 1411 tests, 50-56 s,
+#                                51-57 s wall on a 2-core host)
 #   scripts/check.sh test-all    full lane: fast tests + slow tests +
 #                                every paper-table benchmark
 #   scripts/check.sh chaos       fault-injection suite: every chaos
@@ -47,7 +47,10 @@
 #                                tests, the full differential sweep
 #                                (examples + 60+ seeded random
 #                                multithreaded crashers, instrumented
-#                                and bare), and the replay benchmark
+#                                and bare), the 62-seed sweep replaying
+#                                each crasher's coalesced and
+#                                uncoalesced log, the ndlog damage
+#                                fuzz, and the replay benchmark
 #                                (ndlog overhead + replay and record
 #                                throughput) and its guard
 #                                (BENCH_interpreter.json replay)
@@ -139,9 +142,9 @@ case "${1:-test-fast}" in
     exec python benchmarks/bench_fleet_federation.py --check
     ;;
   replay)
-    # Full replay suite: engine + both ndlog wire formats (the v2
-    # codec/golden tests and the 62-seed v1-vs-v2 differential sweep),
-    # plus the version-aware ndlog chaos fuzz.
+    # Full replay suite: engine + the tb-ndlog/2 codec/golden tests and
+    # the 62-seed coalesced-vs-uncoalesced differential sweep, plus the
+    # ndlog damage fuzz (coalesced and uncoalesced logs).
     python -m pytest -q tests/replay -m "slow or not slow"
     python -m pytest -q tests/chaos/test_fuzz.py -k ndlog -m "slow or not slow"
     python benchmarks/bench_replay.py

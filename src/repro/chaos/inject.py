@@ -208,17 +208,16 @@ def duplicate_sync_records(
 # Nondeterminism-log damage (the replay substrate)
 # ----------------------------------------------------------------------
 def damage_ndlog(snap: SnapFile, rng: random.Random) -> list[str]:
-    """Hurt the snap's ``tb-ndlog`` so replay must refuse, not crash.
+    """Hurt the snap's ``tb-ndlog/2`` so replay must refuse, not crash.
 
-    Version-aware: plain-JSON ``tb-ndlog/1`` logs lose event ranges or
-    grow wrong-typed fields (torn re-serialization); packed
-    ``tb-ndlog/2`` logs get their byte columns truncated, stuffed with
-    runaway varint continuation bytes, or their slice count bumped out
-    of agreement with the columns.  Both versions can lose a required
-    header segment (salvage dropped it) or the whole log (the snap
-    degrades to seed-only).  Ground truth names the segment a typed
+    The byte columns get truncated, stuffed with runaway varint
+    continuation bytes, or their slice count bumped out of agreement
+    with the columns; a rare event or a header field is re-typed as a
+    string (torn re-serialization); a required header segment goes
+    (salvage dropped it), or the whole log does (the snap degrades to
+    seed-only).  Ground truth names the segment a typed
     :class:`~repro.replay.ReplayUnavailable` must report; a snap with
-    no ndlog is left alone (nothing to damage).
+    no packed ndlog is left alone (nothing to damage).
 
     Mutates in place: callers damage copies (:func:`copy_snap` now
     deep-copies the nested ndlog, so the pristine original is safe).
@@ -229,16 +228,19 @@ def damage_ndlog(snap: SnapFile, rng: random.Random) -> list[str]:
         return []
     ndlog = snap.replay["ndlog"]
     slices = ndlog.get("slices")
-    packed = isinstance(slices, dict)
-    events = ndlog.get("events")
+    if not isinstance(slices, dict):
+        return []
     rare = ndlog.get("rare")
-    modes = ["drop-log", "drop-header-key"]
-    if packed:
-        modes += ["truncate-column", "bad-varint", "wrong-count"]
-        if isinstance(rare, list) and rare:
-            modes.append("poison-rare")
-    elif isinstance(events, list) and events:
-        modes += ["drop-events", "poison-event-field"]
+    modes = [
+        "drop-log",
+        "drop-header-key",
+        "poison-header-field",
+        "truncate-column",
+        "bad-varint",
+        "wrong-count",
+    ]
+    if isinstance(rare, list) and rare:
+        modes.append("poison-rare")
     mode = rng.choice(modes)
 
     def recode(key: str, mutate) -> None:
@@ -276,27 +278,17 @@ def damage_ndlog(snap: SnapFile, rng: random.Random) -> list[str]:
             f"ndlog/2: rare event {j} re-serialized as a string "
             f"(expect ReplayUnavailable segment 'rare[{j}]')"
         ]
-    if mode == "drop-events":
-        start = rng.randrange(len(events))
-        end = min(len(events), start + rng.randrange(1, 8))
-        del events[start:end]  # n_events now overstates the log
+    if mode == "poison-header-field":
+        header = ndlog.get("header", {})
+        # Only non-string fields: stringifying the process or machine
+        # name (strings already) would leave the header valid.
+        key = rng.choice(
+            sorted(k for k, v in header.items() if not isinstance(v, str))
+        )
+        header[key] = str(header[key])  # JSON survives, the type didn't
         return [
-            f"ndlog: lost events {start}..{end} without fixing n_events "
-            "(expect ReplayUnavailable segment 'events')"
-        ]
-    if mode == "poison-event-field":
-        i = rng.randrange(len(events))
-        event = events[i]
-        # Only non-string fields: stringifying e.g. an "x" reason (a
-        # string already) would leave the event valid.
-        candidates = [
-            f for f in range(1, len(event)) if not isinstance(event[f], str)
-        ]
-        field = rng.choice(candidates)
-        event[field] = str(event[field])  # JSON survives, the type didn't
-        return [
-            f"ndlog: event {i} field {field} re-typed as a string "
-            f"(expect ReplayUnavailable segment 'events[{i}]')"
+            f"ndlog: header field {key!r} re-typed as a string "
+            f"(expect ReplayUnavailable segment 'header.{key}')"
         ]
     if mode == "drop-header-key":
         key = rng.choice(("modules", "start_threads", "runtime_id", "config"))

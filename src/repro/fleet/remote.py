@@ -57,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vm.machine import Machine
 
 #: Protocol version string; both sides check it on every exchange.
-PROTOCOL = "tb-vault-query/1"
+PROTOCOL = "tb-vault-query/2"
 
 #: Default server-side page bound for list responses.
 DEFAULT_PAGE_LIMIT = 64
@@ -112,19 +112,12 @@ def decode_frame(data: bytes) -> dict:
 _OPTIONAL_STR = (str, type(None))
 _OPTIONAL_INT = (int, type(None))
 
-#: Wire shape of the incident doc in an ``incidents`` item and of a
-#: ``top`` bucket doc: each field's allowed JSON types.  Entries are
-#: checked against the manifest's own
-#: :data:`~repro.fleet.store.ENTRY_FIELD_TYPES`.
-INCIDENT_FIELD_TYPES = {
-    "incident_id": (int,),
-    "snaps": (int,),
-    "initiator": _OPTIONAL_STR,
-    **dict.fromkeys(
-        ("machines", "processes", "reasons", "groups", "links", "entries"),
-        (list,),
-    ),
-}
+#: Wire shape of an ``incidents`` item beside its ``entries`` list and
+#: of a ``top`` bucket doc: each field's allowed JSON types.  Entries
+#: are checked against the manifest's own
+#: :data:`~repro.fleet.store.ENTRY_FIELD_TYPES`; the client derives the
+#: rest of an incident from them.
+INCIDENT_FIELD_TYPES = {"incident_id": (int,), "links": (list,)}
 BUCKET_FIELD_TYPES = {
     "key": (str,),
     "sig": (str,),
@@ -159,18 +152,16 @@ def _entry(doc) -> VaultEntry | None:
 
 
 def _incident(doc) -> Incident | None:
-    if not (
-        type(doc) is dict
-        and doc.keys() == {"incident", "entries"}
-        and _well_formed(doc["incident"], INCIDENT_FIELD_TYPES)
-        and type(doc["entries"]) is list
-    ):
+    if type(doc) is not dict:
         return None
-    entries = [_entry(d) for d in doc["entries"]]
+    head = dict(doc)
+    docs = head.pop("entries", None)
+    if type(docs) is not list or not _well_formed(head, INCIDENT_FIELD_TYPES):
+        return None
+    entries = [_entry(d) for d in docs]
     if any(entry is None for entry in entries):
         return None
-    meta = doc["incident"]
-    return Incident(meta["incident_id"], entries, set(meta["links"]))
+    return Incident(head["incident_id"], entries, set(head["links"]))
 
 
 def _bucket(doc) -> CrashBucket | None:
@@ -309,7 +300,8 @@ class VaultService:
         return {
             "incidents": [
                 {
-                    "incident": incident.to_dict(),
+                    "incident_id": incident.incident_id,
+                    "links": sorted(incident.links),
                     "entries": [e.to_dict() for e in incident.entries],
                 }
                 for incident in page

@@ -187,9 +187,9 @@ class VaultEntry:
     #: bucket key); None for non-fault snaps or unminable evidence.
     #: Appended last with a default so pre-signature manifests load.
     sig: str | None = None
-    #: Replay capability of the stored snap: "full" (carries a
-    #: tb-ndlog, either version — classification is format-agnostic,
-    #: see ``repro.replay.ndlog.replayable_status``), "seed-only", or
+    #: Replay capability of the stored snap: "full" (carries an ndlog
+    #: mapping — its format is checked at replay, see
+    #: ``repro.replay.ndlog.replayable_status``), "seed-only", or
     #: "none".  Defaulted so pre-replay manifests load; rebuild_index
     #: re-derives it from the archive.
     replayable: str = "none"

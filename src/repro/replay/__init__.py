@@ -1,17 +1,15 @@
 """Deterministic time-travel replay: record a process's nondeterminism
 log alongside its snap, then re-execute the run under a debugger.
 
-See :mod:`repro.replay.ndlog` for the ``tb-ndlog/1`` / ``tb-ndlog/2``
-formats, :mod:`repro.replay.record` for the recording side (enabled by
+See :mod:`repro.replay.ndlog` for the ``tb-ndlog/2`` format,
+:mod:`repro.replay.record` for the recording side (enabled by
 ``RuntimeConfig.record_replay``), and :mod:`repro.replay.engine` for
 the replay debugger.
 """
 
 from repro.replay.engine import ReplayEngine
 from repro.replay.ndlog import (
-    NDLOG_FORMAT,
     NDLOG_FORMAT_V2,
-    NDLOG_FORMATS,
     ReplayDivergence,
     ReplayUnavailable,
     config_from_dict,
@@ -26,9 +24,7 @@ from repro.replay.ndlog import (
 from repro.replay.record import ReplayRecorder
 
 __all__ = [
-    "NDLOG_FORMAT",
     "NDLOG_FORMAT_V2",
-    "NDLOG_FORMATS",
     "ReplayDivergence",
     "ReplayEngine",
     "ReplayRecorder",

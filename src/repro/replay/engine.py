@@ -70,8 +70,9 @@ class ReplayEngine:
                 "snap carries no nondeterminism log (recorded without "
                 "record_replay, or a legacy snap)",
             )
-        # decode_events validates either format and hands back the
-        # v1-layout event stream (v2 columns unpacked in one pass).
+        # decode_events validates the log, header types included, and
+        # hands back the chronological event stream (columns unpacked
+        # in one pass).
         decoded = decode_events(ndlog)
         header = decoded["header"]
         if header.get("dagbase"):
@@ -130,15 +131,16 @@ class ReplayEngine:
                 thread = process.create_thread(
                     int(t["entry_pc"]), arg=int(t["arg"]), name=t.get("name")
                 )
+                tid = t["tid"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ReplayUnavailable(
                     "header.start_threads", f"recorded thread unusable: {exc}"
                 ) from exc
             if t.get("is_initial"):
                 thread.is_initial = True
-            if thread.tid != t["tid"]:
+            if thread.tid != tid:
                 raise ReplayDivergence(
-                    f"start thread got tid {thread.tid}, recorded {t['tid']}"
+                    f"start thread got tid {thread.tid}, recorded {tid}"
                 )
         machine.rpc_router = self._route_outbound
         self.machine = machine

@@ -1,4 +1,4 @@
-"""The nondeterminism log (``tb-ndlog/1`` / ``tb-ndlog/2``) in snaps.
+"""The nondeterminism log (``tb-ndlog/2``) in snaps.
 
 The TBVM is deterministic almost everywhere: the per-process PRNG is
 seeded from the pid, allocation addresses and thread ids are assigned
@@ -12,16 +12,8 @@ exactly that — nothing else — so replaying a snap is "re-execute the
 instruction stream, forcing each recorded decision at its recorded
 point" (the execution-replay-via-VM idea of Oppitz, AADEBUG 2003).
 
-Version 1 layout (plain JSON, embedded under ``SnapFile.replay``)::
-
-    {"format": "tb-ndlog/1",
-     "header": {pid, process_name, machine, clock_skew, io_latency,
-                runtime_id, config, modules, start_threads,
-                rpc_services, loopback_seqs, dagbase},
-     "events": [...],
-     "n_events": N}
-
-Event records are compact tagged lists, chronological:
+The recorder sees a chronological stream of compact tagged event
+records — the form :func:`decode_events` hands the replay engine:
 
 ``["s", tid, start_cycle, n, end_pc, partial?]``
     One scheduler slice: thread ``tid`` ran ``n`` instructions starting
@@ -43,16 +35,17 @@ Event records are compact tagged lists, chronological:
 ``["k", cycle]``
     ``kill -9``.
 
-Version 2 is the same information packed columnar.  On long runs the
-log is >99% scheduler slices, and serializing each as a five-element
-JSON list costs ~4 compressed bytes per event — it dominated the
-replayable archive by two orders of magnitude on the 60k-iteration
-benchmark run.  v2 splits the slice stream into per-field byte columns
-(base64-strings in the JSON, so the container stays a plain-JSON snap)::
+On long runs the stream is >99% scheduler slices, and serializing each
+as a five-element JSON list costs ~4 compressed bytes per event.  So
+the log splits the slice stream into per-field byte columns
+(base64-strings in the JSON, so the container stays a plain-JSON snap)
+and keeps only the other events as JSON::
 
     {"format": "tb-ndlog/2",
-     "header": {...identical to v1...},
-     "n_events": N,                  # decoded (v1-equivalent) count
+     "header": {pid, process_name, machine, clock_skew, io_latency,
+                runtime_id, config, modules, start_threads,
+                rpc_services, loopback_seqs, dagbase},
+     "n_events": N,                  # decoded event count
      "slices": {"count": S,
                 "tids":    <b64>,   # run-length pairs (tid, run)
                 "starts":  <b64>,   # zigzag varint deltas, 1st absolute
@@ -74,13 +67,14 @@ recorded intermediate cycle values.  Rare events (signals, RPC legs,
 host snaps, kill) always break a coalescing run, preserving their
 position in the forced-event stream.
 
-Both versions validate through :func:`validate_ndlog` /
-:func:`decode_events`; any malformed byte range in a v2 column is
-refused with a :class:`ReplayUnavailable` naming the segment
-(``slices.starts``, ``rare[3]``, ...) instead of surfacing as a
-``TypeError`` deep inside the replay engine.  ``n_events``
-double-checks the (decoded) event count so chaos-damaged logs are
-refused rather than silently diverging mid-replay.
+:func:`decode_events` is the one reader and its decode is the
+validation: a log in any other format, a wrong-typed header field, and
+any malformed byte range in a column are refused with a
+:class:`ReplayUnavailable` naming the segment (``format``,
+``header.config.sub_buffers``, ``slices.starts``, ``rare[3]``, ...)
+instead of surfacing as a ``TypeError`` deep inside the replay engine.
+``n_events`` double-checks the decoded event count so chaos-damaged
+logs are refused rather than silently diverging mid-replay.
 """
 
 from __future__ import annotations
@@ -93,41 +87,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import RuntimeConfig
     from repro.runtime.snap import SnapPolicy
 
-#: Version tag of the legacy plain-JSON log format.
-NDLOG_FORMAT = "tb-ndlog/1"
-
-#: Version tag of the packed columnar log format (the default).
+#: Version tag of the log format, the only one replay reads.
 NDLOG_FORMAT_V2 = "tb-ndlog/2"
-
-#: Every format this module can decode.
-NDLOG_FORMATS = (NDLOG_FORMAT, NDLOG_FORMAT_V2)
-
-#: Event tag -> accepted arities.
-_EVENT_ARITY = {
-    "s": (5, 6),
-    "sig": (2,),
-    "rr": (6,),
-    "rs": (6,),
-    "x": (4,),
-    "k": (2,),
-}
-
-#: Header keys a replay cannot start without.
-_HEADER_REQUIRED = (
-    "pid",
-    "process_name",
-    "machine",
-    "clock_skew",
-    "io_latency",
-    "runtime_id",
-    "config",
-    "modules",
-    "start_threads",
-    "rpc_services",
-)
-
-#: The v2 slice columns, in validation order.
-_V2_COLUMNS = ("tids", "starts", "counts", "end_pcs")
 
 
 class ReplayUnavailable(ValueError):
@@ -155,9 +116,9 @@ def replayable_status(replay: dict | None) -> str:
 
     The one implementation of the status ladder — vault manifests,
     ``tbtrace info``, and :attr:`SnapFile.replayable` all delegate here,
-    so a format change (v1 -> v2) cannot make "full" drift between
-    local snaps and fleet metadata.  Any ndlog *mapping* counts as full
-    regardless of version; damage is discovered (and named) at decode.
+    so "full" cannot drift between local snaps and fleet metadata.  Any
+    ndlog *mapping* counts as full; its format and any damage are
+    checked (and named) at decode.
     """
     if not isinstance(replay, dict) or not replay:
         return "none"
@@ -166,6 +127,48 @@ def replayable_status(replay: dict | None) -> str:
     if isinstance(replay.get("seed"), dict):
         return "seed-only"
     return "none"
+
+
+# ----------------------------------------------------------------------
+# Field types: damaged JSON may carry wrong-typed fields that explode as
+# TypeError deep inside the engine — the tables below refuse them at
+# decode, by name, instead
+# ----------------------------------------------------------------------
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_flag(value) -> bool:
+    return type(value) in (int, bool)
+
+
+def _is_mapping(value) -> bool:
+    return isinstance(value, dict)
+
+
+def _is_word_list(value) -> bool:
+    return isinstance(value, list) and all(type(w) is int for w in value)
+
+
+def _is_doc_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(d, dict) for d in value)
+
+
+def _optional(check):
+    """``check``, or None."""
+    return lambda value: value is None or check(value)
+
+
+def _is_services(value) -> bool:
+    """RPC service id (a decimal JSON key) -> exported function name."""
+    return isinstance(value, dict) and all(
+        isinstance(k, str) and k.isdecimal() and isinstance(v, str)
+        for k, v in value.items()
+    )
 
 
 # ----------------------------------------------------------------------
@@ -209,22 +212,35 @@ def policy_from_dict(d: dict) -> "SnapPolicy":
     )
 
 
-#: RuntimeConfig scalar fields carried through the log verbatim.
-_CONFIG_FIELDS = (
-    "sub_buffer_words",
-    "sub_buffers",
-    "main_buffers",
-    "max_buffers",
-    "clock",
-    "timestamp_syscalls",
-    "trace_slot",
-    "spill_slot",
-    "fail_dynamic_buffers",
-    "static_buffer_words",
-    "max_dag_id",
-    "scavenge_interval",
-    "include_memory",
-)
+#: RuntimeConfig scalar fields carried through the log verbatim, with
+#: the type each must decode to.
+_CONFIG_FIELDS = {
+    "sub_buffer_words": _is_int,
+    "sub_buffers": _is_int,
+    "main_buffers": _is_int,
+    "max_buffers": _is_int,
+    "clock": _is_str,
+    "timestamp_syscalls": _is_flag,
+    "trace_slot": _is_int,
+    "spill_slot": _is_int,
+    "fail_dynamic_buffers": _is_flag,
+    "static_buffer_words": _is_int,
+    "max_dag_id": _is_int,
+    "scavenge_interval": _is_int,
+    "include_memory": _optional(_is_flag),
+}
+
+#: ``policy_to_dict`` fields and the type each must decode to.
+_POLICY_FIELDS = {
+    "exception_codes": _optional(_is_word_list),
+    "unhandled": _is_flag,
+    "signals": _optional(_is_word_list),
+    "api": _is_flag,
+    "hang": _is_flag,
+    "suppress_duplicates": _is_flag,
+    "max_snaps": _is_int,
+    "include_memory": _is_flag,
+}
 
 
 def config_to_dict(config: "RuntimeConfig") -> dict:
@@ -249,7 +265,7 @@ def config_from_dict(d: dict) -> "RuntimeConfig":
 
 
 # ----------------------------------------------------------------------
-# Varint / zigzag codec (the v2 byte columns)
+# Varint / zigzag codec (the byte columns)
 # ----------------------------------------------------------------------
 def _write_uvarint(out: bytearray, value: int) -> None:
     """LEB128: 7 value bits per byte, high bit = continuation."""
@@ -334,12 +350,12 @@ def _column_bytes(slices: dict, key: str) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# v2 encoding
+# Encoding
 # ----------------------------------------------------------------------
 def _coalesce(
     events: list, end_cycles: list | None
 ) -> tuple[list[list], list[list]]:
-    """Split a v1 event stream into (slices, rare).
+    """Split a raw event stream into (slices, rare).
 
     ``slices`` entries are ``[tid, start, n, end_pc, partial]``; ``rare``
     entries are ``[pos, event]`` with ``pos`` the number of slices
@@ -390,7 +406,7 @@ def _coalesce(
 def encode_ndlog(
     header: dict, events: list, end_cycles: list | None = None
 ) -> dict:
-    """Pack a v1-style event stream into a ``tb-ndlog/2`` dict.
+    """Pack a raw event stream into a ``tb-ndlog/2`` dict.
 
     ``end_cycles`` enables slice coalescing (see :func:`_coalesce`);
     without it the encoding is a pure columnar re-layout and
@@ -436,74 +452,95 @@ def encode_ndlog(
     }
 
 
-# ----------------------------------------------------------------------
-# Shared per-field event checks (satellite: damaged JSON may carry
-# wrong-typed fields that pass arity checks and explode as TypeError
-# deep inside the engine — refuse them here, by name, instead)
-# ----------------------------------------------------------------------
-def _is_int(value) -> bool:
-    return type(value) is int
-
-
-def _is_word_list(value) -> bool:
-    return isinstance(value, list) and all(type(w) is int for w in value)
-
-
-def _is_opt_payload(value) -> bool:
-    return value is None or isinstance(value, dict)
-
-
-def _is_flag(value) -> bool:
-    return type(value) in (int, bool)
-
-
-#: tag -> per-field predicates, named, positions 1..n of the event list.
+#: Rare-event tag -> its named per-field predicates, positions 1..n of
+#: the event list (the arity is one more).  Slices have no row: they
+#: live only in the columns.
 _EVENT_FIELDS = {
-    "s": (
-        ("tid", _is_int),
-        ("start_cycle", _is_int),
-        ("n", _is_int),
-        ("end_pc", _is_int),
-        ("partial", _is_flag),
-    ),
     "sig": (("signum", _is_int),),
     "rr": (
         ("seq", _is_int),
         ("cycle", _is_int),
         ("status", _is_int),
         ("result_words", _is_word_list),
-        ("reply_triple", _is_opt_payload),
+        ("reply_triple", _optional(_is_mapping)),
     ),
     "rs": (
         ("cycle", _is_int),
         ("service", _is_int),
         ("args", _is_word_list),
         ("ret_cap", _is_int),
-        ("triple", _is_opt_payload),
+        ("triple", _optional(_is_mapping)),
     ),
     "x": (
         ("cycle", _is_int),
-        ("reason", lambda v: isinstance(v, str)),
-        ("detail", lambda v: isinstance(v, dict)),
+        ("reason", _is_str),
+        ("detail", _is_mapping),
     ),
     "k": (("cycle", _is_int),),
 }
 
+#: Header key -> its type check.  A nested table checks a nested
+#: mapping whose keys may each be absent (``config_from_dict`` and
+#: ``policy_from_dict`` default them).
+_HEADER_FIELDS = {
+    "pid": _is_int,
+    "process_name": _is_str,
+    "machine": _is_str,
+    "clock_skew": _is_int,
+    "io_latency": _is_int,
+    "runtime_id": _is_int,
+    "config": {**_CONFIG_FIELDS, "policy": _POLICY_FIELDS},
+    "modules": _is_doc_list,
+    "start_threads": _is_doc_list,
+    "rpc_services": _is_services,
+    "loopback_seqs": _is_word_list,
+    "dagbase": _is_flag,
+}
+
+#: Header keys a log may lack (replay defaults them); the rest are
+#: required.
+_HEADER_OPTIONAL = ("loopback_seqs", "dagbase")
+
+
+def _check_fields(segment: str, doc: dict, fields: dict, optional) -> None:
+    """Refuse the first of ``fields`` that ``doc`` lacks (unless it is
+    ``optional``) or holds with the wrong type."""
+    for key, check in fields.items():
+        if key not in doc:
+            if key in optional:
+                continue
+            raise ReplayUnavailable(f"{segment}.{key}")
+        value = doc[key]
+        nested = type(check) is dict
+        if nested and type(value) is dict:
+            _check_fields(f"{segment}.{key}", value, check, optional=check)
+        elif nested or not check(value):
+            where = f"{segment}.{key}"
+            raise ReplayUnavailable(
+                where,
+                f"{where}: wrong type {type(value).__name__} ({value!r:.60})",
+            )
+
 
 def _check_event(segment: str, event) -> None:
-    """Structural + per-field check of one v1-style event record."""
+    """Structural + per-field check of one rare event record."""
     if not isinstance(event, (list, tuple)) or not event:
         raise ReplayUnavailable(segment, f"{segment}: event malformed")
     tag = event[0]
-    arities = _EVENT_ARITY.get(tag)
-    if arities is None:
+    if tag == "s":
+        raise ReplayUnavailable(
+            segment, f"{segment}: scheduler slices belong in the columns"
+        )
+    fields = _EVENT_FIELDS.get(tag)
+    if fields is None:
         raise ReplayUnavailable(segment, f"{segment}: unknown tag {tag!r}")
-    if len(event) not in arities:
+    if len(event) != 1 + len(fields):
         raise ReplayUnavailable(
             segment,
-            f"{segment} ({tag!r}): expected {arities} fields, got {len(event)}",
+            f"{segment} ({tag!r}): expected {1 + len(fields)} fields, "
+            f"got {len(event)}",
         )
-    for (name, check), value in zip(_EVENT_FIELDS[tag], event[1:]):
+    for (name, check), value in zip(fields, event[1:]):
         if not check(value):
             raise ReplayUnavailable(
                 segment,
@@ -513,23 +550,11 @@ def _check_event(segment: str, event) -> None:
 
 
 # ----------------------------------------------------------------------
-# Validation and decoding (both versions)
+# Validation and decoding
 # ----------------------------------------------------------------------
-def _validate_header(ndlog: dict) -> None:
-    header = ndlog.get("header")
-    if not isinstance(header, dict):
-        raise ReplayUnavailable("header", "ndlog header missing or malformed")
-    for key in _HEADER_REQUIRED:
-        if key not in header:
-            raise ReplayUnavailable(f"header.{key}")
-    if not isinstance(header["modules"], list):
-        raise ReplayUnavailable("header.modules", "module list malformed")
-    if not isinstance(header["start_threads"], list):
-        raise ReplayUnavailable("header.start_threads", "thread list malformed")
-
-
 def _decode_v2(ndlog: dict) -> dict:
-    """Strict decode of a ``tb-ndlog/2`` into the v1 in-memory layout.
+    """Strict decode of a ``tb-ndlog/2``'s slice columns and rare events
+    into one chronological event stream.
 
     Decoding *is* the validation: every malformed byte range maps to a
     :class:`ReplayUnavailable` naming the damaged segment.
@@ -609,10 +634,6 @@ def _decode_v2(ndlog: dict) -> dict:
             )
         last_pos = pos
         _check_event(segment, entry[1])
-        if entry[1][0] == "s":
-            raise ReplayUnavailable(
-                segment, f"{segment}: scheduler slices belong in the columns"
-            )
 
     declared = ndlog.get("n_events")
     if declared != count + len(rare):
@@ -641,54 +662,40 @@ def _decode_v2(ndlog: dict) -> dict:
     for entry in rare[ri:]:
         events.append(list(entry[1]))
     return {
-        "format": NDLOG_FORMAT,
         "header": ndlog.get("header"),
         "events": events,
         "n_events": len(events),
     }
 
 
-def _validate_v1(ndlog: dict) -> None:
-    events = ndlog.get("events")
-    if not isinstance(events, list):
-        raise ReplayUnavailable("events", "ndlog event list missing")
-    declared = ndlog.get("n_events")
-    if declared != len(events):
-        raise ReplayUnavailable(
-            "events",
-            f"ndlog declares {declared} events but carries {len(events)} "
-            "(truncated or damaged log)",
-        )
-    for i, event in enumerate(events):
-        _check_event(f"events[{i}]", event)
-
-
 def decode_events(ndlog: dict) -> dict:
-    """Validate any supported ndlog and return it in the v1 layout.
+    """Validate a ``tb-ndlog/2`` and return its chronological event
+    stream as ``{"header", "events", "n_events"}``.
 
-    v1 logs are returned as-is after structural + per-field checks; v2
-    logs are strictly decoded (columns unpacked, rare events re-merged
-    at their slice positions).  Raises :class:`ReplayUnavailable`
-    naming the first missing or damaged segment.
+    The columns are strictly decoded and the rare events re-merged at
+    their slice positions.  Raises :class:`ReplayUnavailable` naming
+    the first missing or damaged segment; any other format, the
+    recorder's raw stream included, is refused as ``format``.
     """
     if not isinstance(ndlog, dict):
         raise ReplayUnavailable("ndlog", "nondeterminism log is not a mapping")
     fmt = ndlog.get("format")
-    if fmt not in NDLOG_FORMATS:
+    if fmt != NDLOG_FORMAT_V2:
         raise ReplayUnavailable(
             "format",
-            f"unknown ndlog format {fmt!r} (expected one of {NDLOG_FORMATS})",
+            f"unsupported ndlog format {fmt!r} "
+            f"(replay reads only {NDLOG_FORMAT_V2!r})",
         )
-    _validate_header(ndlog)
-    if fmt == NDLOG_FORMAT_V2:
-        return _decode_v2(ndlog)
-    _validate_v1(ndlog)
-    return ndlog
+    header = ndlog.get("header")
+    if not isinstance(header, dict):
+        raise ReplayUnavailable("header", "ndlog header missing or malformed")
+    _check_fields("header", header, _HEADER_FIELDS, _HEADER_OPTIONAL)
+    return _decode_v2(ndlog)
 
 
 def validate_ndlog(ndlog: dict) -> None:
-    """Check structural integrity (either format); raise
-    :class:`ReplayUnavailable` naming the first missing/damaged
-    segment.  For v2 this fully decodes the packed columns — decoding
-    is the only complete check of a byte-packed stream."""
+    """Check structural integrity; raise :class:`ReplayUnavailable`
+    naming the first missing/damaged segment.  This fully decodes the
+    packed columns — decoding is the only complete check of a
+    byte-packed stream."""
     decode_events(ndlog)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.replay.ndlog import NDLOG_FORMAT, config_to_dict, encode_ndlog
+from repro.replay.ndlog import config_to_dict, encode_ndlog
 from repro.runtime.sync import PAYLOAD_KEY
 from repro.vm.hooks import ProcessHooks
 
@@ -43,10 +43,10 @@ class ReplayRecorder(ProcessHooks):
         self.machine = runtime.process.machine
         self.events: list[list] = []
         #: Machine cycles at each slice's end, parallel to ``events``
-        #: (None for non-slice events).  Not part of the v1 format: it
-        #: feeds the v2 encoder's coalescing check — two same-thread
-        #: slices merge only when the second starts on the exact cycle
-        #: the first ended (nothing else ran in between).
+        #: (None for non-slice events).  Not part of the log: it feeds
+        #: the encoder's coalescing check — two same-thread slices
+        #: merge only when the second starts on the exact cycle the
+        #: first ended (nothing else ran in between).
         self._end_cycles: list[int | None] = []
         self._modules: list[dict] = []
         self._start_threads: list[dict] | None = None
@@ -181,10 +181,11 @@ class ReplayRecorder(ProcessHooks):
         ``1``) covers the instructions executed so far, ending with the
         faulting instruction itself.
 
-        ``version`` selects the wire format: 2 (default) packs slices
-        into the columnar ``tb-ndlog/2`` encoding; 1 emits the plain
-        JSON ``tb-ndlog/1`` event list.  Both describe the same run and
-        replay identically.
+        ``version`` 2 (the default) is the ``tb-ndlog/2`` log a snap
+        embeds.  ``version`` 1 is the raw event stream it packs, as the
+        ``header``/``events``/``n_events`` mapping that
+        :func:`~repro.replay.ndlog.decode_events` returns: uncoalesced
+        and untagged, so no snap embeds it and replay refuses it.
         """
         if version not in (1, 2):
             raise ValueError(f"unknown ndlog version: {version!r}")
@@ -216,9 +217,4 @@ class ReplayRecorder(ProcessHooks):
         }
         if version == 2:
             return encode_ndlog(header, events, end_cycles)
-        return {
-            "format": NDLOG_FORMAT,
-            "header": header,
-            "events": events,
-            "n_events": len(events),
-        }
+        return {"header": header, "events": events, "n_events": len(events)}

@@ -352,8 +352,8 @@ def inspect_container(data: bytes) -> dict:
         "threads": len(payload.get("threads", [])),
         "buffers": len(payload.get("buffers", [])),
         "replayable": replayable_status(replay if isinstance(replay, dict) else {}),
-        # Wire format of the embedded nondeterminism log, when any
-        # ("tb-ndlog/1" plain JSON, "tb-ndlog/2" packed columnar).
+        # Format tag of the embedded nondeterminism log, when any
+        # ("tb-ndlog/2"; replay refuses any other).
         "ndlog_format": (
             ndlog.get("format") if isinstance(ndlog, dict) else None
         ),

@@ -202,9 +202,9 @@ class SnapFile:
     #: Optional memory dump: segment name -> (base, words).
     memory: dict[str, tuple[int, list[int]]] = field(default_factory=dict)
     #: Reproducibility metadata: ``{"seed": {...}}`` for any snap taken
-    #: by a runtime, plus ``{"ndlog": {...}}`` (the ``tb-ndlog/1`` or
-    #: ``tb-ndlog/2`` nondeterminism log) when the run recorded for
-    #: replay.  Legacy snaps carry an empty dict.
+    #: by a runtime, plus ``{"ndlog": {...}}`` (the ``tb-ndlog/2``
+    #: nondeterminism log) when the run recorded for replay.  Legacy
+    #: snaps carry an empty dict.
     replay: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------

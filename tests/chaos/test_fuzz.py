@@ -180,9 +180,9 @@ int main() {
 """
 
 
-@pytest.fixture(scope="module", params=[1, 2], ids=["ndlog-v1", "ndlog-v2"])
-def recorded_snap(request):
-    """One recorded crash snap per ndlog wire format (v1 and v2)."""
+@pytest.fixture(scope="module")
+def crasher_run():
+    """One recorded run of :data:`CRASHER`."""
     from repro.api import TraceSession
     from repro.runtime import RuntimeConfig, SnapPolicy
     from repro.runtime.sync import reset_runtime_ids
@@ -193,21 +193,42 @@ def recorded_snap(request):
         runtime_config=RuntimeConfig(
             policy=SnapPolicy.parse("snap on unhandled"),
             record_replay=True,
-            ndlog_version=request.param,
         ),
     )
     session.add_minic(CRASHER, name="crasher", file_name="crasher.c")
     run = session.run(max_cycles=2_000_000)
     assert run.snap is not None and run.snap.replayable == "full"
-    return run.snap
+    return run
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["ndlog-v1", "ndlog-v2"])
+def recorded_snap(request, crasher_run):
+    """The crash snap once per recorder version, both as ``tb-ndlog/2``:
+    v2 is the log the run recorded (its lone thread's slices coalesced
+    into one), v1 packs the recorder's raw stream without coalescing,
+    every slice as the scheduler ran it."""
+    from repro.replay import encode_ndlog
+    from repro.runtime.snap import SnapFile
+
+    snap = crasher_run.snap
+    if request.param == 2:
+        return snap
+    raw = crasher_run.runtime.recorder.to_dict(version=1)
+    d = snap.to_dict()
+    d["replay"] = {
+        **d["replay"],
+        "ndlog": encode_ndlog(raw["header"], raw["events"]),
+    }
+    return SnapFile.from_dict(d)
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_fuzz_ndlog_damage_is_typed(recorded_snap, seed):
     """Whatever damage_ndlog did, replay fails with ReplayUnavailable
     naming the hurt segment — never a crash or a silent divergence.
-    Runs against both wire formats: v1 damage tears the JSON event
-    list, v2 damage corrupts the packed byte columns."""
+    Runs against the coalesced log and the uncoalesced one: damage
+    corrupts the packed byte columns, a rare event or a header field,
+    or drops a header key or the whole log."""
     from repro.chaos.inject import damage_ndlog
     from repro.replay import ReplayEngine, ReplayUnavailable
 

@@ -85,9 +85,14 @@ def test_hello_reports_protocol_and_inventory(vault):
 
 def test_protocol_mismatch_is_rejected(vault):
     server = VaultService(vault)
-    response = server.handle({"proto": "tb-vault-query/99", "op": "hello"})
-    assert not response["ok"]
-    assert "protocol mismatch" in response["error"]
+    # A retired version's client (tb-vault-query/1 expects each
+    # incident twice) is told which version this server speaks.
+    for proto in ("tb-vault-query/99", "tb-vault-query/1"):
+        response = server.handle({"proto": proto, "op": "incidents"})
+        assert not response["ok"]
+        assert response["error"] == (
+            f"protocol mismatch: got {proto!r}, serving 'tb-vault-query/2'"
+        )
 
 
 def test_unknown_and_underscore_ops_rejected(vault):
@@ -352,6 +357,18 @@ def _extra_bucket_key(result):
     result["buckets"][0]["extra"] = 1
 
 
+def _drop_incident_id(result):
+    del result["incidents"][0]["incident_id"]
+
+
+def _non_string_link(result):
+    result["incidents"][0]["links"].append(7)
+
+
+def _drop_incident_entry_clock(result):
+    del result["incidents"][0]["entries"][0]["clock"]
+
+
 @pytest.mark.parametrize(
     "op,rewrite,named",
     [
@@ -359,8 +376,31 @@ def _extra_bucket_key(result):
         ("select", _late_clock, "select on 'vault': item 0 malformed"),
         ("select", _garbage_page, "page at offset 0 is not a list"),
         ("top", _extra_bucket_key, "top on 'vault': item 0 malformed"),
+        (
+            "incidents",
+            _drop_incident_id,
+            "incidents on 'vault': item 0 malformed",
+        ),
+        (
+            "incidents",
+            _non_string_link,
+            "incidents on 'vault': item 0 malformed",
+        ),
+        (
+            "incidents",
+            _drop_incident_entry_clock,
+            "incidents on 'vault': item 0 malformed",
+        ),
     ],
-    ids=["missing-clock", "wrong-typed-clock", "garbage-page", "extra-key"],
+    ids=[
+        "missing-clock",
+        "wrong-typed-clock",
+        "garbage-page",
+        "extra-key",
+        "missing-incident-id",
+        "non-string-link",
+        "incident-entry-missing-clock",
+    ],
 )
 def test_malformed_items_are_protocol_errors(vault, op, rewrite, named):
     network = Network()

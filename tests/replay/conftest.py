@@ -8,12 +8,14 @@ read-only (damage tests copy first).
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 from repro import TraceSession
 from repro.runtime import RuntimeConfig, SnapPolicy
+from repro.runtime.snap import SnapFile
 from repro.runtime.sync import reset_runtime_ids
 
 _REPO = Path(__file__).resolve().parents[2]
@@ -65,3 +67,24 @@ def replay_vault(tmp_path_factory, workqueue_run):
     result = vault.put(workqueue_run.snap)
     vault.flush_index()
     return vault, result.digest
+
+
+@pytest.fixture(scope="session")
+def unreadable_snaps(workqueue_run) -> dict:
+    """Copies of the recorded snap whose logs replay must refuse, keyed
+    by the segment it names: ``format`` carries the retired
+    ``tb-ndlog/1`` (the recorder's raw stream under that tag, as the
+    old writer embedded it), ``header.pid`` a log whose pid is a
+    string."""
+    raw = workqueue_run.runtime.recorder.to_dict(version=1)
+    mistyped = json.loads(json.dumps(workqueue_run.snap.replay["ndlog"]))
+    mistyped["header"]["pid"] = "x"
+    snaps = {}
+    for segment, ndlog in (
+        ("format", {"format": "tb-ndlog/1", **raw}),
+        ("header.pid", mistyped),
+    ):
+        d = workqueue_run.snap.to_dict()
+        d["replay"] = {**d["replay"], "ndlog": ndlog}
+        snaps[segment] = SnapFile.from_dict(d)
+    return snaps

@@ -72,6 +72,21 @@ def test_replay_legacy_snap_fails_typed(tmp_path, workqueue_run, capsys):
     assert "cannot replay" in err and "nondeterminism log" in err
 
 
+@pytest.mark.parametrize("segment", ["format", "header.pid"])
+def test_replay_unreadable_log_fails_in_one_line(
+    tmp_path, unreadable_snaps, segment, capsys
+):
+    from repro.fleet import SnapVault
+
+    vault = SnapVault(str(tmp_path / "unreadable"))
+    result = vault.put(unreadable_snaps[segment])
+    assert main(["replay", result.digest[:8], "--vault", vault.root]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"tbtrace: error: cannot replay {result.digest[:12]}")
+    assert segment in err
+
+
 # ----------------------------------------------------------------------
 # Interactive loop
 # ----------------------------------------------------------------------

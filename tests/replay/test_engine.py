@@ -130,17 +130,25 @@ def test_seed_only_snap_refuses(workqueue_run):
     assert excinfo.value.segment == "ndlog"
 
 
+def test_retired_v1_log_is_refused_by_name(unreadable_snaps):
+    with pytest.raises(ReplayUnavailable) as excinfo:
+        ReplayEngine(unreadable_snaps["format"])
+    assert excinfo.value.segment == "format"
+    assert "'tb-ndlog/1'" in str(excinfo.value)
+    assert "'tb-ndlog/2'" in str(excinfo.value)
+
+
 def test_tampered_slice_is_a_divergence(workqueue_run):
-    from repro.replay import decode_events
+    from repro.replay import decode_events, encode_ndlog
 
     d = json.loads(json.dumps(workqueue_run.snap.to_dict()))
-    # The snap carries packed v2; tamper in the v1 layout (the engine
-    # accepts both) so the slice fields are directly editable.
-    ndlog = json.loads(json.dumps(decode_events(d["replay"]["ndlog"])))
+    # Tamper in the decoded event stream, where the slice fields are
+    # directly editable, then pack it again.
+    decoded = decode_events(d["replay"]["ndlog"])
     # Shrink one scheduler slice: replay then executes fewer
     # instructions than the recording claims and must notice.
-    ev = next(e for e in ndlog["events"] if e[0] == "s" and e[3] > 1)
+    ev = next(e for e in decoded["events"] if e[0] == "s" and e[3] > 1)
     ev[3] -= 1
-    d["replay"]["ndlog"] = ndlog
+    d["replay"]["ndlog"] = encode_ndlog(decoded["header"], decoded["events"])
     with pytest.raises(ReplayDivergence):
         ReplayEngine(SnapFile.from_dict(d)).run_to_fault()

@@ -1,15 +1,16 @@
-"""The ``tb-ndlog`` container: validation, status, legacy compat.
+"""The ``tb-ndlog/2`` container: validation, status, legacy compat.
 
-These tests exercise the *v1* (plain JSON) layout — snaps now carry
-packed v2 by default, so ``_ndlog`` decodes back to the v1 in-memory
-form before tampering with the event list.  The packed format's own
-byte-level checks live in ``test_ndlog_v2.py``.
+These tests tamper with a recorded log's header, its rare-event list
+and its format tag.  The packed columns' own byte-level checks live in
+``test_ndlog_v2.py``.
 """
+
+import json
 
 import pytest
 
 from repro.replay import (
-    NDLOG_FORMAT,
+    NDLOG_FORMAT_V2,
     ReplayUnavailable,
     config_from_dict,
     config_to_dict,
@@ -24,18 +25,25 @@ from repro.runtime.snap import SnapFile
 
 
 def _ndlog(workqueue_run) -> dict:
-    import json
-
-    raw = workqueue_run.snap.replay["ndlog"]
-    return json.loads(json.dumps(decode_events(raw)))
+    """A private copy of the recorded log with one rare event, a kill
+    after the last slice, appended (the workqueue run records none)."""
+    ndlog = json.loads(json.dumps(workqueue_run.snap.replay["ndlog"]))
+    ndlog["rare"].append([ndlog["slices"]["count"], ["k", 1 << 40]])
+    ndlog["n_events"] += 1
+    return ndlog
 
 
 # ----------------------------------------------------------------------
 # Validation
 # ----------------------------------------------------------------------
 def test_recorded_log_validates(workqueue_run):
-    validate_ndlog(workqueue_run.snap.replay["ndlog"])  # as recorded (v2)
-    validate_ndlog(_ndlog(workqueue_run))  # decoded v1 layout
+    validate_ndlog(workqueue_run.snap.replay["ndlog"])
+    validate_ndlog(_ndlog(workqueue_run))
+    # The decoded stream is not a log: it carries no format tag.
+    decoded = decode_events(workqueue_run.snap.replay["ndlog"])
+    with pytest.raises(ReplayUnavailable) as excinfo:
+        validate_ndlog(decoded)
+    assert excinfo.value.segment == "format"
 
 
 def test_unknown_format_is_typed(workqueue_run):
@@ -44,7 +52,7 @@ def test_unknown_format_is_typed(workqueue_run):
     with pytest.raises(ReplayUnavailable) as excinfo:
         validate_ndlog(ndlog)
     assert excinfo.value.segment == "format"
-    assert NDLOG_FORMAT in str(excinfo.value)
+    assert NDLOG_FORMAT_V2 in str(excinfo.value)
 
 
 @pytest.mark.parametrize(
@@ -59,9 +67,76 @@ def test_missing_header_key_names_the_segment(workqueue_run, key):
     assert excinfo.value.segment == f"header.{key}"
 
 
+#: A wrong-typed value for each header field, each config field and
+#: each policy field; the key path is also the segment decode names.
+WRONG_TYPED_HEADER = [
+    ("pid", "x"),
+    ("process_name", 7),
+    ("machine", None),
+    ("clock_skew", "0"),
+    ("io_latency", 1.5),
+    ("runtime_id", "7"),
+    ("config", "x"),
+    ("modules", {}),
+    ("modules", [1]),
+    ("start_threads", "x"),
+    ("start_threads", [["t"]]),
+    ("rpc_services", []),
+    ("rpc_services", {"x": "serve"}),
+    ("rpc_services", {"1": 5}),
+    ("loopback_seqs", "0"),
+    ("loopback_seqs", ["0"]),
+    ("dagbase", "no"),
+    ("config.sub_buffer_words", "x"),
+    ("config.sub_buffers", None),
+    ("config.main_buffers", 1.5),
+    ("config.max_buffers", "8"),
+    ("config.clock", 0),
+    ("config.timestamp_syscalls", "on"),
+    ("config.trace_slot", True),
+    ("config.spill_slot", []),
+    ("config.fail_dynamic_buffers", None),
+    ("config.static_buffer_words", "64"),
+    ("config.max_dag_id", 2.0),
+    ("config.scavenge_interval", None),
+    ("config.include_memory", "x"),
+    ("config.policy", "x"),
+    ("config.policy.exception_codes", "x"),
+    ("config.policy.signals", ["9"]),
+    ("config.policy.unhandled", None),
+    ("config.policy.api", "x"),
+    ("config.policy.hang", []),
+    ("config.policy.suppress_duplicates", "x"),
+    ("config.policy.max_snaps", "100"),
+    ("config.policy.include_memory", None),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    WRONG_TYPED_HEADER,
+    ids=[f"{path}={value!r}" for path, value in WRONG_TYPED_HEADER],
+)
+def test_wrong_typed_header_field_names_the_segment(workqueue_run, path, value):
+    """Decode refuses it by name: in the engine it would surface as a
+    TypeError, ValueError or AttributeError, or be taken silently."""
+    from repro.replay import ReplayEngine
+
+    d = json.loads(json.dumps(workqueue_run.snap.to_dict()))
+    *parents, key = path.split(".")
+    doc = d["replay"]["ndlog"]["header"]
+    for parent in parents:
+        doc = doc[parent]
+    doc[key] = value
+    with pytest.raises(ReplayUnavailable) as excinfo:
+        ReplayEngine(SnapFile.from_dict(d))
+    assert excinfo.value.segment == f"header.{path}"
+    assert f"header.{path}" in str(excinfo.value)
+
+
 def test_event_count_mismatch_is_truncation(workqueue_run):
     ndlog = _ndlog(workqueue_run)
-    ndlog["events"].pop()
+    ndlog["rare"].pop()
     with pytest.raises(ReplayUnavailable) as excinfo:
         validate_ndlog(ndlog)
     assert excinfo.value.segment == "events"
@@ -70,22 +145,22 @@ def test_event_count_mismatch_is_truncation(workqueue_run):
 
 def test_malformed_event_names_its_index(workqueue_run):
     ndlog = _ndlog(workqueue_run)
-    ndlog["events"][3] = ["??", 1, 2]
+    last = len(ndlog["rare"]) - 1
+    ndlog["rare"][last][1] = ["??", 1, 2]
     with pytest.raises(ReplayUnavailable) as excinfo:
         validate_ndlog(ndlog)
-    assert excinfo.value.segment == "events[3]"
+    assert excinfo.value.segment == f"rare[{last}]"
+    assert "'??'" in str(excinfo.value)
 
 
 def test_wrong_arity_names_the_tag(workqueue_run):
     ndlog = _ndlog(workqueue_run)
-    idx = next(
-        i for i, ev in enumerate(ndlog["events"]) if ev[0] == "s"
-    )
-    ndlog["events"][idx] = ["s", 0]
+    tag = ndlog["rare"][0][1][0]
+    ndlog["rare"][0][1] = [tag]
     with pytest.raises(ReplayUnavailable) as excinfo:
         validate_ndlog(ndlog)
-    assert excinfo.value.segment == f"events[{idx}]"
-    assert "'s'" in str(excinfo.value)
+    assert excinfo.value.segment == "rare[0]"
+    assert repr(tag) in str(excinfo.value)
 
 
 # ----------------------------------------------------------------------

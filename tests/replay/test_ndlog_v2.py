@@ -1,8 +1,9 @@
 """The packed ``tb-ndlog/2`` encoding: round trips, golden bytes,
 coalescing rules, and the strict byte-level decoder.
 
-The plain-JSON (v1) container checks live in ``test_ndlog.py``; the
-v1-vs-v2 replay equivalence sweep lives in ``test_v2_differential.py``.
+The container checks on a recorded log live in ``test_ndlog.py``; the
+coalesced-vs-uncoalesced replay equivalence sweep lives in
+``test_v2_differential.py``.
 """
 
 import base64
@@ -12,7 +13,6 @@ import json
 import pytest
 
 from repro.replay import (
-    NDLOG_FORMAT,
     NDLOG_FORMAT_V2,
     ReplayUnavailable,
     decode_events,
@@ -56,7 +56,7 @@ def test_exact_round_trip_without_end_cycles():
     v2 = _encode()
     assert v2["format"] == NDLOG_FORMAT_V2
     decoded = decode_events(v2)
-    assert decoded["format"] == NDLOG_FORMAT
+    assert "format" not in decoded
     assert decoded["events"] == EVENTS
     assert decoded["n_events"] == len(EVENTS)
 
@@ -324,27 +324,23 @@ def test_missing_header_key_is_named():
 
 
 # ----------------------------------------------------------------------
-# The per-field type checks are shared with v1 validation
+# Per-field type checks of the raw event records in ``rare`` (the
+# layout ``ReplayRecorder.to_dict(version=1)`` streams)
 # ----------------------------------------------------------------------
 def test_v1_wrong_typed_field_is_named():
-    """Satellite regression: a stringified cycle count used to pass
-    arity-only validation and explode as TypeError inside the engine."""
-    ndlog = {
-        "format": NDLOG_FORMAT,
-        "header": dict(HEADER),
-        "events": [["s", 1, 0, 3, 10], ["s", 1, "10", 3, 20]],
-        "n_events": 2,
-    }
+    """A stringified cycle count passes an arity check and would
+    explode as TypeError inside the engine."""
+    ndlog = _encode([["s", 1, 0, 3, 10], ["x", "10", "hang", {}]])
     with pytest.raises(ReplayUnavailable) as excinfo:
         validate_ndlog(ndlog)
-    assert excinfo.value.segment == "events[1]"
-    assert "start_cycle" in str(excinfo.value)
+    assert excinfo.value.segment == "rare[0]"
+    assert "'cycle'" in str(excinfo.value)
 
 
 @pytest.mark.parametrize(
     "event",
     [
-        ["s", 1.0, 0, 3, 10],  # float tid
+        ["s", 1.0, 0, 3, 10],  # a slice, which belongs in the columns
         ["sig", True],  # bool signum
         ["rr", 0, 7, 0, [1, "2"], None],  # non-int result word
         ["rs", 8, 7, [2], 1, "triple"],  # payload not a mapping
@@ -353,28 +349,27 @@ def test_v1_wrong_typed_field_is_named():
     ],
 )
 def test_v1_field_type_catalogue(event):
-    ndlog = {
-        "format": NDLOG_FORMAT,
-        "header": dict(HEADER),
-        "events": [event],
-        "n_events": 1,
-    }
+    ndlog = _encode([["k", 0]])
+    ndlog["rare"] = [[0, event]]
     with pytest.raises(ReplayUnavailable) as excinfo:
         validate_ndlog(ndlog)
-    assert excinfo.value.segment == "events[0]"
+    assert excinfo.value.segment == "rare[0]"
 
 
 # ----------------------------------------------------------------------
-# Recorder version selection
+# Recorder version selection: the raw stream (1) and the log (2)
 # ----------------------------------------------------------------------
 def test_recorder_emits_both_versions(workqueue_run):
     recorder = workqueue_run.runtime.recorder
     v1 = recorder.to_dict(version=1)
     v2 = recorder.to_dict()
-    assert v1["format"] == NDLOG_FORMAT
+    assert set(v1) == {"header", "events", "n_events"}
     assert v2["format"] == NDLOG_FORMAT_V2
-    validate_ndlog(v1)
     validate_ndlog(v2)
+    # The raw stream is not a log: no snap embeds it, replay refuses it.
+    with pytest.raises(ReplayUnavailable) as excinfo:
+        validate_ndlog(v1)
+    assert excinfo.value.segment == "format"
     # Same recording: the rare-event streams agree, and the packed
     # slices cover exactly the same instructions.
     rare_v1 = [e for e in v1["events"] if e[0] != "s"]
@@ -384,6 +379,9 @@ def test_recorder_emits_both_versions(workqueue_run):
         e[3] for e in decode_events(v2)["events"] if e[0] == "s"
     )
     assert v1_instr == v2_instr
+    # Packed without end cycles, the raw stream decodes to itself.
+    packed = encode_ndlog(v1["header"], v1["events"])
+    assert decode_events(packed) == v1
 
 
 def test_recorder_rejects_unknown_version(workqueue_run):
@@ -393,8 +391,8 @@ def test_recorder_rejects_unknown_version(workqueue_run):
 
 
 def test_v2_is_smaller_than_v1(workqueue_run):
-    """The point of the format: the packed log is much smaller, before
-    compression even helps."""
+    """The point of the format: the packed log is much smaller than the
+    raw stream as plain JSON, before compression even helps."""
     recorder = workqueue_run.runtime.recorder
     v1 = len(json.dumps(recorder.to_dict(version=1)).encode())
     v2 = len(json.dumps(recorder.to_dict()).encode())

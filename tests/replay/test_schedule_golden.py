@@ -1,8 +1,9 @@
 """Golden regression: the scheduler's decisions are byte-stable.
 
-Every recorded run is pinned by one sha256 over its ``tb-ndlog/1``
-event stream (every slice: thread, start cycle, instruction count, end
-pc; plus the rare events) and the machine's final cycle count.  A
+Every recorded run is pinned by one sha256 over its raw event stream
+(``ReplayRecorder.to_dict(version=1)``, uncoalesced: every slice's
+thread, start cycle, instruction count and end pc, plus the rare
+events) and the machine's final cycle count.  A
 change to how the scheduler keeps its bookkeeping must not move a
 single slice, so these digests must never change unless scheduling
 itself is meant to.
@@ -146,7 +147,7 @@ def run_transitions(instrument: bool):
 
 
 def schedule_digest(runtime, machine) -> str:
-    """sha256 of the run's v1 event stream and final cycle count."""
+    """sha256 of the run's raw event stream and final cycle count."""
     events = runtime.recorder.to_dict(version=1)["events"]
     blob = json.dumps(
         {"events": events, "cycles": machine.cycles},
@@ -202,8 +203,8 @@ def test_schedule_matches_golden(name):
 
 def regenerate() -> None:
     lines = [
-        "# Scheduling-order golden: per program, sha256 of its tb-ndlog/1",
-        "# event stream and final machine cycle count.",
+        "# Scheduling-order golden: per program, sha256 of its raw ndlog",
+        "# event stream (uncoalesced) and final machine cycle count.",
         f"# Generated by: {REGENERATE}",
     ]
     lines += [

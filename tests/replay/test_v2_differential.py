@@ -1,14 +1,16 @@
-"""v1-vs-v2 differential sweep: both wire formats replay one recording
-to the identical fault on every engine tier.
+"""Coalesced-vs-uncoalesced differential sweep: one recording, packed
+both ways, replays to the identical fault on every engine tier.
 
-The VM is deterministic given ``reset_runtime_ids()`` and a fixed
-program, so recording the same seeded crasher twice — once with
-``ndlog_version=1``, once with ``ndlog_version=2`` — captures the same
-run in both formats.  The oracle replays each log on each interpreter
-tier and asserts the replays are event-identical: same fault pc/code,
-same per-thread control flow, same crash signature.  Coalescing makes
-the v2 *log* shorter than the v1 log; it must never make the *replay*
-different.
+Each seeded crasher is recorded once.  Its snap carries the
+``tb-ndlog/2`` log the encoder coalesced (contiguous same-thread slices
+merged); ``encode_ndlog`` of the recorder's raw stream
+(``ReplayRecorder.to_dict(version=1)``) without end cycles packs every
+slice as the scheduler ran it.  The oracle replays both logs on each
+interpreter tier and asserts the replays are event-identical: same
+fault pc/code, same per-thread control flow, same crash signature.
+Coalescing makes the log shorter; it must never make the *replay*
+different.  The test names keep the recorder's version numbers: v1 is
+the raw stream, v2 the log the snap embeds.
 
 Seeds 0..5 run in the default lane; the full 62-seed sweep is ``slow``
 (run via ``scripts/check.sh replay``).
@@ -21,10 +23,10 @@ from repro.reconstruct import (
     Reconstructor,
     control_flow_signature,
     diff_control_flow,
-    snap_signature,
 )
-from repro.replay import NDLOG_FORMAT, NDLOG_FORMAT_V2, ReplayEngine
+from repro.replay import ReplayEngine, decode_events, encode_ndlog
 from repro.runtime import RuntimeConfig, SnapPolicy
+from repro.runtime.snap import SnapFile
 from repro.runtime.sync import reset_runtime_ids
 from repro.vm.machine import ENGINES
 from repro.workloads import random_crasher
@@ -33,37 +35,44 @@ FAST_SEEDS = range(6)
 SLOW_SEEDS = range(6, 62)
 
 
-def _record(seed: int, version: int):
+def _record(seed: int):
     reset_runtime_ids()
     session = TraceSession(
         process_name=f"rnd{seed}",
         runtime_config=RuntimeConfig(
             policy=SnapPolicy.parse("snap on unhandled"),
             record_replay=True,
-            ndlog_version=version,
         ),
     )
     session.add_minic(random_crasher(seed), name="rnd", file_name="rnd.c")
     return session.run(max_cycles=30_000_000)
 
 
+def _instructions(events) -> int:
+    return sum(e[3] for e in events if e[0] == "s")
+
+
 def assert_v1_v2_equivalent(seed: int, engines) -> None:
-    run_v1 = _record(seed, 1)
-    run_v2 = _record(seed, 2)
-    snap_v1, snap_v2 = run_v1.snap, run_v2.snap
-    assert snap_v1 is not None and snap_v2 is not None
-    assert snap_v1.replay["ndlog"]["format"] == NDLOG_FORMAT
-    assert snap_v2.replay["ndlog"]["format"] == NDLOG_FORMAT_V2
-    # Same run, so the recorded evidence mines to the same signature.
-    mapfiles = run_v1.mapfiles
-    assert snap_signature(snap_v1, mapfiles) == snap_signature(
-        snap_v2, mapfiles
-    )
-    recon = Reconstructor(mapfiles)
+    run = _record(seed)
+    coalesced = run.snap
+    assert coalesced is not None
+    # The raw stream as the run left it: the faulting slice closed at
+    # the fault, every other slice as the scheduler ran it.
+    raw = run.runtime.recorder.to_dict(version=1)
+    d = coalesced.to_dict()
+    d["replay"] = {
+        **d["replay"],
+        "ndlog": encode_ndlog(raw["header"], raw["events"]),
+    }
+    uncoalesced = SnapFile.from_dict(d)
+    # Same run: the two logs cover the same instructions.
+    packed = decode_events(coalesced.replay["ndlog"])["events"]
+    assert _instructions(packed) == _instructions(raw["events"])
+    recon = Reconstructor(run.mapfiles)
     for engine in engines:
         stops = []
         traces = []
-        for snap in (snap_v1, snap_v2):
+        for snap in (uncoalesced, coalesced):
             eng = ReplayEngine(snap, engine=engine)
             stops.append(eng.run_to_fault())
             traces.append(recon.reconstruct(eng.replayed_snap()))

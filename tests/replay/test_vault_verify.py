@@ -36,6 +36,21 @@ def test_verify_bucket_reports_unreplayable_exemplar(
     assert "ndlog" in verdict["reason"]
 
 
+@pytest.mark.parametrize("segment", ["format", "header.pid"])
+def test_verify_bucket_reports_an_unreadable_log(
+    tmp_path, workqueue_run, unreadable_snaps, segment
+):
+    """A retired or wrong-typed log is a finding, not a raise."""
+    vault = SnapVault(str(tmp_path / "unreadable"))
+    for mapfile in workqueue_run.mapfiles:
+        vault.put_mapfile(mapfile)
+    vault.put(unreadable_snaps[segment])
+    (bucket,) = top_buckets(vault)
+    verdict = VaultQuery(vault).verify_bucket(bucket)
+    assert verdict["verified"] is False
+    assert verdict["reason"].startswith(f"replay-unavailable[{segment}]")
+
+
 def test_verify_bucket_entry_is_marked_replayable(replay_vault):
     vault, digest = replay_vault
     assert vault.index[digest].replayable == "full"
