@@ -12,18 +12,22 @@ data.  Threads are split on THREAD_START / THREAD_END records; a leading
 anonymous span (its THREAD_START overwritten by wrap) is attributed to
 the closing THREAD_END's tid, or to the buffer's current owner.
 
-Two recovery disciplines coexist, mining with the same resync scan
+One miner serves both recovery disciplines: :func:`mine_buffer_salvage`
+and :func:`recover_spans_salvage`, built on the resync scan
 (:func:`~repro.runtime.records.read_forward_salvage_bulk`):
 
-* **strict** (the default): any integrity violation — including a
-  single word the scan could not place in a record — raises
-  :class:`RecoveryError`: the right behaviour for tests and for
-  pipelines that must not silently accept damaged evidence;
 * **salvage**: every buffer yields whatever records survive, plus a
   :class:`SalvageReport` accounting for what was lost and why.  This is
   the paper's actual operating regime — a snap cut by ``kill -9``, a
   trace file torn in transmission, a clobbered header — where a partial
-  answer beats a stack trace.
+  answer beats a stack trace;
+* **strict** (the default): :func:`mine_buffer` and
+  :func:`recover_spans` are the salvage miners refusing the first loss
+  they record — an integrity violation, or a single word the scan could
+  not place in a record — as :class:`RecoveryError`: the right
+  behaviour for tests and for pipelines that must not silently accept
+  damaged evidence.  A shared (desperation) buffer is skipped with a
+  note, not refused: by design its contents are not reconstructable.
 """
 
 from __future__ import annotations
@@ -79,6 +83,15 @@ class SalvageReport:
         """Whether this buffer lost anything."""
         return bool(self.reasons) or self.words_skipped > 0
 
+    @property
+    def loss(self) -> str | None:
+        """The first loss this buffer records, which strict mode
+        refuses; None when it lost nothing, or is only a shared buffer
+        skipped with a note."""
+        if self.damaged and self.reasons != [REASON_SHARED]:
+            return self.problems[0]
+        return None
+
     def summary(self) -> str:
         """One display line, e.g. ``buffer 2: corrupt, 312/4096 words
         skipped (garbage-words)``."""
@@ -103,9 +116,12 @@ class RecoveryResult:
     notes: list[str] = field(default_factory=list)
     reports: list[SalvageReport] = field(default_factory=list)
 
-    @property
-    def damaged(self) -> bool:
-        return any(r.damaged for r in self.reports)
+    def refuse_loss(self) -> None:
+        """Strict mode: raise :class:`RecoveryError` with the first loss
+        any buffer's report records."""
+        for report in self.reports:
+            if report.loss is not None:
+                raise RecoveryError(report.loss)
 
 
 @dataclass
@@ -124,49 +140,35 @@ class ThreadSpan:
         return not self.has_start
 
 
-def verify_buffer(dump: BufferDump, strict: bool = True) -> list[str]:
-    """Integrity checks on a dumped buffer ("verify its integrity").
-
-    In strict mode the first violation raises :class:`RecoveryError`.
-    Otherwise every problem is returned as a ``(reason, message)`` pair
-    encoded ``"reason: message"`` — the salvage path turns these into
-    :class:`SalvageReport` entries.
-    """
-    problems: list[str] = []
-
-    def fail(reason: str, message: str) -> None:
-        if strict:
-            raise RecoveryError(message)
-        problems.append(f"{reason}: {message}")
-
-    words = dump.words
+def verify_buffer(dump: BufferDump) -> list[tuple[str, str]]:
+    """Integrity checks on a dumped buffer ("verify its integrity"):
+    every problem found, as ``(REASON_*, message)``; never raises."""
+    words, where = dump.words, f"buffer {dump.index}"
     if len(words) < HEADER_WORDS:
-        fail(REASON_TOO_SHORT, f"buffer {dump.index}: too short")
-        return problems  # nothing below is checkable
+        return [(REASON_TOO_SHORT, f"{where}: too short")]
+    problems: list[tuple[str, str]] = []
     if words[0] != MAGIC:
-        fail(
-            REASON_BAD_MAGIC,
-            f"buffer {dump.index}: bad magic {words[0]:#x}",
-        )
+        problems.append((REASON_BAD_MAGIC, f"{where}: bad magic {words[0]:#x}"))
     if dump.sub_count <= 0 or dump.sub_size <= 1:
-        fail(
-            REASON_BAD_GEOMETRY,
-            f"buffer {dump.index}: bad geometry "
-            f"{dump.sub_count}x{dump.sub_size}",
-        )
+        geometry = f"{dump.sub_count}x{dump.sub_size}"
+        problems.append((REASON_BAD_GEOMETRY, f"{where}: bad geometry {geometry}"))
         return problems  # geometry is unusable: stop here
     expected = HEADER_WORDS + dump.sub_count * dump.sub_size
     if len(words) != expected:
-        fail(
-            REASON_LENGTH_MISMATCH,
-            f"buffer {dump.index}: {len(words)} words, header implies {expected}",
+        problems.append(
+            (
+                REASON_LENGTH_MISMATCH,
+                f"{where}: {len(words)} words, header implies {expected}",
+            )
         )
     committed = words[4]
     if committed != 0xFFFFFFFF and committed >= dump.sub_count:
-        fail(
-            REASON_BAD_COMMIT,
-            f"buffer {dump.index}: committed index {committed} out of "
-            f"range (clobbered header?)",
+        problems.append(
+            (
+                REASON_BAD_COMMIT,
+                f"{where}: committed index {committed} out of range "
+                "(clobbered header?)",
+            )
         )
     return problems
 
@@ -186,39 +188,30 @@ def sub_buffer_order(dump: BufferDump) -> list[int]:
 def mine_buffer(dump: BufferDump) -> list[Record]:
     """All records in one buffer, oldest first (§4.1).
 
-    Each sub-buffer is mined by the resync scan
-    (:func:`~repro.runtime.records.read_forward_salvage_bulk`) from its
-    base to its last non-zero entry; sub-buffers are concatenated in
-    commit order.  Strict: a sub-buffer that loses any word — garbage,
-    a record whose trailer disagrees, a zeroed hole before written
-    data — raises :class:`RecoveryError` naming it.
+    Strict: :func:`mine_buffer_salvage` refusing the first loss it
+    records as :class:`RecoveryError` — a failed integrity check, or a
+    sub-buffer that lost any word (garbage, a record whose trailer
+    disagrees, a zeroed hole before written data), named.
     """
-    verify_buffer(dump)
-    records: list[Record] = []
-    for sub in sub_buffer_order(dump):
-        start = HEADER_WORDS + sub * dump.sub_size
-        end = start + dump.sub_size - 1  # exclusive of the sentinel
-        sub_records, lost = read_forward_salvage_bulk(dump.words, start, end)
-        if lost:
-            raise RecoveryError(
-                f"buffer {dump.index}: sub-buffer {sub}: {lost} of "
-                f"{end - start} words lost (unparseable, or zeroed "
-                "before written data)"
-            )
-        records.extend(sub_records)
+    records, report = mine_buffer_salvage(dump)
+    if report.loss is not None:
+        raise RecoveryError(report.loss)
     return records
 
 
 def mine_buffer_salvage(dump: BufferDump) -> tuple[list[Record], SalvageReport]:
     """Best-effort mining of a possibly damaged buffer.
 
-    Every integrity violation is logged to the report instead of
-    raising; mining proceeds over whatever words exist, clamped to the
-    geometry the snap metadata declares.
+    Each sub-buffer is mined by the resync scan
+    (:func:`~repro.runtime.records.read_forward_salvage_bulk`) from its
+    base to its last non-zero entry; sub-buffers are concatenated in
+    commit order.  Every integrity violation, and every sub-buffer that
+    loses words, is logged to the report instead of raising; mining
+    proceeds over whatever words exist, clamped to the geometry the
+    snap metadata declares.
     """
     report = SalvageReport(buffer_index=dump.index)
-    for problem in verify_buffer(dump, strict=False):
-        reason, _, message = problem.partition(": ")
+    for reason, message in verify_buffer(dump):
         report.note(reason, message)
     words = dump.words
     if len(words) < HEADER_WORDS or REASON_BAD_GEOMETRY in report.reasons:
@@ -228,29 +221,22 @@ def mine_buffer_salvage(dump: BufferDump) -> tuple[list[Record], SalvageReport]:
         return [], report
 
     records: list[Record] = []
+    size = dump.sub_size - 1  # sans sentinel
     for sub in sub_buffer_order(dump):
         start = HEADER_WORDS + sub * dump.sub_size
-        end = min(start + dump.sub_size - 1, len(words))  # sans sentinel
-        if start >= len(words):
-            # Truncated container: this sub-buffer is simply gone.
-            report.words_skipped += dump.sub_size - 1
-            report.words_scanned += dump.sub_size - 1
-            continue
-        sub_records, skipped = read_forward_salvage_bulk(words, start, end)
+        # A truncated dump cuts the sub-buffer short, or off entirely.
+        end = max(start, min(start + size, len(words)))
+        sub_records, lost = read_forward_salvage_bulk(words, start, end)
         records.extend(sub_records)
-        report.words_scanned += end - start
-        report.words_skipped += skipped
-        # Words the truncation cut off count as lost too.
-        missing = (start + dump.sub_size - 1) - end
-        if missing > 0:
-            report.words_skipped += missing
-            report.words_scanned += missing
-    if report.words_skipped and REASON_GARBAGE_WORDS not in report.reasons:
-        report.note(
-            REASON_GARBAGE_WORDS,
-            f"buffer {dump.index}: {report.words_skipped} words skipped "
-            "(unparseable, or zeroed before written data)",
-        )
+        lost += start + size - end  # words the truncation cut off
+        report.words_scanned += size
+        if lost:
+            report.words_skipped += lost
+            report.note(
+                REASON_GARBAGE_WORDS,
+                f"buffer {dump.index}: sub-buffer {sub}: {lost} of {size} "
+                "words lost (unparseable, or zeroed before written data)",
+            )
     report.records_recovered = len(records)
     return records, report
 
@@ -298,35 +284,22 @@ def split_by_thread(dump: BufferDump, records: list[Record]) -> list[ThreadSpan]
 
 
 def recover_spans(dumps: list[BufferDump]) -> tuple[list[ThreadSpan], list[str]]:
-    """Recover thread spans from every recoverable buffer in a snap.
-
-    Shared (desperation/static) and probation buffers are skipped — by
-    design their contents are not reconstructable (§3.1) — with a note.
-    """
-    spans: list[ThreadSpan] = []
-    notes: list[str] = []
-    for dump in dumps:
-        if dump.flags & BufferFlags.PROBATION:
-            continue
-        if dump.flags & BufferFlags.SHARED:
-            used = any(w not in (0, 0xFFFFFFFF) for w in dump.words[HEADER_WORDS:])
-            if used:
-                notes.append(
-                    f"buffer {dump.index}: shared (desperation) buffer "
-                    "contains unsynchronized records; not recovered"
-                )
-            continue
-        records = mine_buffer(dump)
-        spans.extend(split_by_thread(dump, records))
-    return spans, notes
+    """Recover thread spans from every buffer in a snap, strictly:
+    :func:`recover_spans_salvage` refusing the first loss any buffer
+    records as :class:`RecoveryError`.  Returns ``(spans, notes)``."""
+    result = recover_spans_salvage(dumps)
+    result.refuse_loss()
+    return result.spans, result.notes
 
 
 def recover_spans_salvage(dumps: list[BufferDump]) -> RecoveryResult:
-    """Salvage-mode counterpart of :func:`recover_spans`.
+    """Recover thread spans from every recoverable buffer in a snap.
 
     Never raises: every buffer contributes whatever spans survive, and
-    each one's :class:`SalvageReport` records what was lost.  Probation
-    and shared buffers are skipped exactly as in strict mode.
+    each one's :class:`SalvageReport` records what was lost.  Shared
+    (desperation/static) and probation buffers are skipped — by design
+    their contents are not reconstructable (§3.1) — a used shared
+    buffer with a note.
     """
     result = RecoveryResult()
     for dump in dumps:

@@ -5,12 +5,12 @@ requires (1) a trace/snap file, (2) the mapfiles of the instrumented
 modules — matched by checksum — exactly the paper's input list (§4),
 with debug information embedded in the mapfiles.
 
-Both strict and salvage disciplines are offered.  Strict (the default)
-raises on the first integrity violation; salvage mode reconstructs
-whatever the damage left behind — wrapped buffers, torn archives,
-``kill -9``'d processes, whole machines missing — and attaches a
-:class:`~repro.reconstruct.model.DegradationSummary` naming each loss,
-which is the paper's actual field regime (§2.1, §4.1).
+Both strict and salvage disciplines are offered, on one path.  Salvage
+mode reconstructs whatever the damage left behind — wrapped buffers,
+torn archives, ``kill -9``'d processes, whole machines missing — and
+attaches a :class:`~repro.reconstruct.model.DegradationSummary` naming
+each loss, which is the paper's actual field regime (§2.1, §4.1).
+Strict (the default) is that reconstruction refusing its first loss.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from repro.reconstruct.model import (
 )
 from repro.reconstruct.recovery import (
     REASON_EXPAND_FAILED,
+    RecoveryError,
     SalvageReport,
-    recover_spans,
     recover_spans_salvage,
 )
 from repro.reconstruct.stitch import (
@@ -54,50 +54,43 @@ class Reconstructor:
         ``strict=False`` selects salvage mode: damaged buffers yield
         whatever records survive, with per-buffer
         :class:`~repro.reconstruct.recovery.SalvageReport`s on the
-        result's ``salvage`` list instead of a
-        :class:`~repro.reconstruct.recovery.RecoveryError`.
+        result's ``salvage`` list.  Strict mode is the same
+        reconstruction refusing its first loss as a
+        :class:`~repro.reconstruct.recovery.RecoveryError`, a span that
+        fails to expand included.
         """
         index = ModuleIndex.build(snap, self.mapfiles)
+        recovered = recover_spans_salvage(snap.buffers)
         if strict:
-            spans, notes = recover_spans(snap.buffers)
-            reports: list[SalvageReport] = []
-        else:
-            recovered = recover_spans_salvage(snap.buffers)
-            spans, notes, reports = (
-                recovered.spans,
-                recovered.notes,
-                recovered.reports,
-            )
+            recovered.refuse_loss()
         result = ProcessTrace(
             process_name=snap.process_name,
             machine_name=snap.machine_name,
             reason=snap.reason,
             detail=snap.detail,
             clock=snap.clock,
-            notes=notes,
-            salvage=reports,
+            notes=recovered.notes,
+            salvage=[] if strict else recovered.reports,
         )
-        for span in spans:
-            if strict:
+        for span in recovered.spans:
+            # Defense in depth: salvaged records can be internally
+            # inconsistent in ways expansion never sees from a live
+            # runtime; a span that explodes becomes a named loss, not
+            # a crash.
+            try:
                 trace = expand_span(span, index, snap)
-            else:
-                # Defense in depth: salvaged records can be internally
-                # inconsistent in ways expansion never sees from a live
-                # runtime; a span that explodes becomes a named loss,
-                # not a crash.
-                try:
-                    trace = expand_span(span, index, snap)
-                except Exception as exc:  # noqa: BLE001 — salvage barrier
-                    report = SalvageReport(buffer_index=span.buffer_index)
-                    report.note(
-                        REASON_EXPAND_FAILED,
-                        f"buffer {span.buffer_index}: thread "
-                        f"{span.tid} span failed to expand "
-                        f"({type(exc).__name__}: {exc})",
-                    )
-                    result.salvage.append(report)
-                    result.notes.append(report.problems[-1])
-                    continue
+            except Exception as exc:  # noqa: BLE001 — salvage barrier
+                message = (
+                    f"buffer {span.buffer_index}: thread {span.tid} span "
+                    f"failed to expand ({type(exc).__name__}: {exc})"
+                )
+                if strict:
+                    raise RecoveryError(message) from exc
+                report = SalvageReport(buffer_index=span.buffer_index)
+                report.note(REASON_EXPAND_FAILED, message)
+                result.salvage.append(report)
+                result.notes.append(message)
+                continue
             assign_depths(trace)
             result.threads.append(trace)
         return result

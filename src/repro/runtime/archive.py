@@ -20,8 +20,14 @@ Container format v2 (``TBSZ2``)::
 The CRC32 per blob and the body-length word exist because snaps travel:
 a connection cut mid-transfer used to yield a silently short word list
 or a raw ``struct.error``.  A blob marker without its CRC is damage like
-a CRC mismatch.  :func:`salvage_decompress` recovers what it can from a
-torn or bit-flipped container instead of raising.
+a CRC mismatch.
+
+One walk reads a container (:func:`_read`), and one parse reads the
+snap metadata it restores (:meth:`SnapFile.from_dict_salvage`).
+:func:`salvage_decompress` recovers what it can from a torn or
+bit-flipped container and notes each loss; :func:`decompress_snap` is
+that same read refusing its first loss, and :func:`inspect_container`
+reports it.
 """
 
 from __future__ import annotations
@@ -111,58 +117,6 @@ def _check_blob(marker: list, blob: bytes) -> tuple[str, str | None]:
     return "ok", None
 
 
-def _parse_body(
-    body: bytes, strict: bool, notes: list[str]
-) -> SnapFile | None:
-    """Body parser shared by :func:`decompress_snap` and
-    :func:`salvage_decompress`.
-
-    In strict mode any damage raises :class:`ArchiveError`; otherwise
-    problems land in ``notes`` and damaged blobs are recovered as far as
-    the surviving bytes allow.
-    """
-    if len(body) < 4:
-        if strict:
-            raise ArchiveError("container body too short for a header")
-        notes.append("container body too short for a header")
-        return None
-    (header_len,) = _U32.unpack(body[:4])
-    if 4 + header_len > len(body):
-        if strict:
-            raise ArchiveError(
-                f"container torn inside the metadata header "
-                f"({header_len} bytes declared, {len(body) - 4} present)"
-            )
-        notes.append("container torn inside the metadata header")
-        return None
-    try:
-        payload = json.loads(body[4 : 4 + header_len])
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        if strict:
-            raise ArchiveError(f"metadata header unparseable: {exc}") from exc
-        notes.append(f"metadata header unparseable: {exc}")
-        return None
-    cursor = 4 + header_len
-    for buffer in payload.get("buffers", []):
-        marker = buffer.get("words")
-        if not (isinstance(marker, list) and marker and marker[0] == "blob"):
-            continue
-        blob = body[cursor : cursor + marker[2]]
-        _, problem = _check_blob(marker, blob)
-        if problem:
-            message = f"buffer {buffer.get('index', '?')}: {problem}"
-            if strict:
-                raise ArchiveError(message)
-            notes.append(message)
-        buffer["words"] = unpack_words(blob)
-        cursor += marker[2]
-    if strict:
-        return SnapFile.from_dict(payload)
-    snap, field_notes = SnapFile.from_dict_salvage(payload)
-    notes.extend(field_notes)
-    return snap
-
-
 def _inflate_partial(compressed: bytes) -> bytes:
     """Inflate as much of a damaged zlib stream as possible.
 
@@ -190,52 +144,125 @@ def _inflate_partial(compressed: bytes) -> bytes:
     return b"".join(chunks)
 
 
-def decompress_snap(data: bytes) -> SnapFile:
-    """Inverse of :func:`compress_snap`.  Raises :class:`ArchiveError`
-    on any damage (truncation, tearing, a missing or mismatched CRC)."""
+def _read(data: bytes) -> tuple[SnapFile | None, dict]:
+    """The one reading of a container: magic, length word, inflate
+    (falling back to a partial inflate), length check, header, each blob
+    with its CRC state, then the snap metadata parse of the header with
+    the located blobs' words restored.
+
+    Returns ``(snap, report)``: ``snap`` is None when no header
+    survives; the report is :func:`inspect_container`'s, its
+    ``"problems"`` every loss in the order met.  Each shape is checked
+    before it is used; a buffer entry or blob marker that cannot be
+    sized stops the blob walk, since no later blob can be located.
+    """
+    info: dict = {
+        "version": None,
+        "size": len(data),
+        "length_ok": None,
+        "blobs": [],
+        "crc_ok": None,
+        "meta": None,
+        "problems": [],
+    }
+    losses = info["problems"]
     if not data.startswith(MAGIC):
-        raise ArchiveError("not a compressed snap container")
+        losses.append("not a compressed snap container")
+        return None, info
+    info["version"] = 2
     if len(data) < len(MAGIC) + 4:
-        raise ArchiveError("container truncated before the length word")
-    (body_len,) = _U32.unpack(data[len(MAGIC) : len(MAGIC) + 4])
+        losses.append("container truncated before the length word")
+        return None, info
+    (declared,) = _U32.unpack_from(data, len(MAGIC))
+    compressed = data[len(MAGIC) + 4 :]
     try:
-        body = zlib.decompress(data[len(MAGIC) + 4 :])
+        body = zlib.decompress(compressed)
     except zlib.error as exc:
-        raise ArchiveError(f"container deflate stream damaged: {exc}") from exc
-    if len(body) != body_len:
-        raise ArchiveError(
-            f"container length check failed: {len(body)} bytes inflate, "
-            f"{body_len} declared (truncated in transit?)"
+        losses.append(f"deflate stream damaged: {exc}")
+        body = _inflate_partial(compressed)
+    info["length_ok"] = len(body) == declared
+    if not info["length_ok"]:
+        losses.append(
+            f"length check failed: {len(body)}/{declared} bytes recovered"
         )
-    return _parse_body(body, strict=True, notes=[])
+    if len(body) < 4:
+        losses.append("container body too short for a header")
+        return None, info
+    (header_len,) = _U32.unpack_from(body)
+    if 4 + header_len > len(body):
+        losses.append("container torn inside the metadata header")
+        return None, info
+    try:
+        header = json.loads(body[4 : 4 + header_len])
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        losses.append(f"metadata header unparseable: {exc}")
+        return None, info
+    if not isinstance(header, dict):
+        losses.append(
+            f"metadata header is a {type(header).__name__}, not an object"
+        )
+        return None, info
+    info["crc_ok"] = True
+    cursor = 4 + header_len
+    buffers = header.get("buffers")
+    # Not a list: the metadata parse names the field; no blob is read.
+    for i, buffer in enumerate(buffers if isinstance(buffers, list) else ()):
+        if not isinstance(buffer, dict):
+            losses.append(
+                f"buffer entry {i} is not an object; "
+                "no later blob can be located"
+            )
+            break
+        marker = buffer.get("words")
+        if not (isinstance(marker, list) and marker and marker[0] == "blob"):
+            continue
+        size = marker[2] if len(marker) > 2 else None
+        if type(size) is not int or size < 0:
+            losses.append(
+                f"buffer {buffer.get('index', '?')}: blob marker size "
+                f"{size!r} is not a byte count; no later blob can be located"
+            )
+            break
+        blob = body[cursor : cursor + size]
+        state, problem = _check_blob(marker, blob)
+        if problem:
+            info["crc_ok"] = False
+            losses.append(f"buffer {buffer.get('index', '?')}: {problem}")
+        info["blobs"].append(
+            {
+                "index": buffer.get("index"),
+                "bytes": size,
+                "present": len(blob),
+                "crc": state,
+            }
+        )
+        buffer["words"] = unpack_words(blob)
+        cursor += size
+    snap, notes = SnapFile.from_dict_salvage(header)
+    losses.extend(notes)
+    return snap, info
+
+
+def decompress_snap(data: bytes) -> SnapFile:
+    """Inverse of :func:`compress_snap`: :func:`salvage_decompress`
+    that refuses its first note (a torn, truncated or checksum-corrupt
+    container, or damaged snap metadata) as :class:`ArchiveError`."""
+    snap, notes = salvage_decompress(data)
+    if notes:
+        raise ArchiveError(notes[0])
+    return snap
 
 
 def salvage_decompress(data: bytes) -> tuple[SnapFile | None, list[str]]:
     """Best-effort read of a damaged container.
 
     Returns ``(snap, notes)``: ``snap`` is None only when nothing at all
-    is recoverable (unreadable metadata); otherwise it carries every
-    buffer whose bytes survive, with damage described in ``notes``.
-    Never raises on damage.
+    is recoverable (no readable metadata header); otherwise it carries
+    every buffer whose bytes survive, with each loss — container and
+    snap metadata alike — one of the ``notes``.  Never raises on damage.
     """
-    notes: list[str] = []
-    if not data.startswith(MAGIC):
-        return None, ["not a compressed snap container"]
-    if len(data) < len(MAGIC) + 4:
-        return None, ["container truncated before the length word"]
-    (declared,) = _U32.unpack(data[len(MAGIC) : len(MAGIC) + 4])
-    compressed = data[len(MAGIC) + 4 :]
-    try:
-        body = zlib.decompress(compressed)
-    except zlib.error as exc:
-        notes.append(f"deflate stream damaged: {exc}")
-        body = _inflate_partial(compressed)
-    if len(body) != declared:
-        notes.append(
-            f"length check failed: {len(body)}/{declared} bytes recovered"
-        )
-    snap = _parse_body(body, strict=False, notes=notes)
-    return snap, notes
+    snap, info = _read(data)
+    return snap, info["problems"]
 
 
 def compression_ratio(snap: SnapFile, level: int = 6) -> float:
@@ -295,89 +322,27 @@ def inspect_container(data: bytes) -> dict:
 
     Backs ``tbtrace info``: version, body-length check, blob census and
     per-blob CRC status, and the snap metadata (reason, process,
-    machine, clock, module/thread counts) straight from the header
-    JSON.  Never raises on damage — problems land in ``"problems"``.
+    machine, clock, module/thread counts).  It reads the container as
+    :func:`salvage_decompress` does, so ``"problems"`` are exactly that
+    function's notes.  Never raises on damage.
     """
-    info: dict = {
-        "version": None,
-        "size": len(data),
-        "length_ok": None,
-        "blobs": [],
-        "crc_ok": None,
-        "meta": None,
-        "problems": [],
-    }
-    if not data.startswith(MAGIC):
-        info["problems"].append("not a compressed snap container")
-        return info
-    info["version"] = 2
-    if len(data) < len(MAGIC) + 4:
-        info["problems"].append("container truncated before the length word")
-        return info
-    (declared,) = _U32.unpack(data[len(MAGIC) : len(MAGIC) + 4])
-    compressed = data[len(MAGIC) + 4 :]
-    try:
-        body = zlib.decompress(compressed)
-    except zlib.error as exc:
-        info["problems"].append(f"deflate stream damaged: {exc}")
-        body = _inflate_partial(compressed)
-    info["length_ok"] = len(body) == declared
-    if not info["length_ok"]:
-        info["problems"].append(
-            f"length check failed: {len(body)}/{declared} bytes"
-        )
-    if len(body) < 4:
-        info["problems"].append("container body too short for a header")
-        return info
-    (header_len,) = _U32.unpack(body[:4])
-    if 4 + header_len > len(body):
-        info["problems"].append("container torn inside the metadata header")
-        return info
-    try:
-        payload = json.loads(body[4 : 4 + header_len])
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        info["problems"].append(f"metadata header unparseable: {exc}")
-        return info
-    from repro.replay.ndlog import replayable_status
-
-    replay = payload.get("replay") or {}
-    ndlog = replay.get("ndlog") if isinstance(replay, dict) else None
-    info["meta"] = {
-        "reason": payload.get("reason"),
-        "detail": payload.get("detail"),
-        "process_name": payload.get("process_name"),
-        "machine_name": payload.get("machine_name"),
-        "clock": payload.get("clock"),
-        "modules": len(payload.get("modules", [])),
-        "threads": len(payload.get("threads", [])),
-        "buffers": len(payload.get("buffers", [])),
-        "replayable": replayable_status(replay if isinstance(replay, dict) else {}),
-        # Format tag of the embedded nondeterminism log, when any
-        # ("tb-ndlog/2"; replay refuses any other).
-        "ndlog_format": (
-            ndlog.get("format") if isinstance(ndlog, dict) else None
-        ),
-    }
-    cursor = 4 + header_len
-    info["crc_ok"] = True
-    for buffer in payload.get("buffers", []):
-        marker = buffer.get("words")
-        if not (isinstance(marker, list) and marker and marker[0] == "blob"):
-            continue
-        blob = body[cursor : cursor + marker[2]]
-        state, problem = _check_blob(marker, blob)
-        if problem:
-            info["crc_ok"] = False
-            info["problems"].append(
-                f"buffer {buffer.get('index', '?')}: {problem}"
-            )
-        info["blobs"].append(
-            {
-                "index": buffer.get("index"),
-                "bytes": marker[2],
-                "present": len(blob),
-                "crc": state,
-            }
-        )
-        cursor += marker[2]
+    snap, info = _read(data)
+    if snap is not None:
+        ndlog = snap.replay.get("ndlog")
+        info["meta"] = {
+            "reason": snap.reason,
+            "detail": snap.detail,
+            "process_name": snap.process_name,
+            "machine_name": snap.machine_name,
+            "clock": snap.clock,
+            "modules": len(snap.modules),
+            "threads": len(snap.threads),
+            "buffers": len(snap.buffers),
+            "replayable": snap.replayable,
+            # Format tag of the embedded nondeterminism log, when any
+            # ("tb-ndlog/2"; replay refuses any other).
+            "ndlog_format": (
+                ndlog.get("format") if isinstance(ndlog, dict) else None
+            ),
+        }
     return info

@@ -28,11 +28,16 @@ import copy
 import json
 import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 
 class PolicyError(ValueError):
     """Malformed policy file."""
+
+
+class SnapMetadataError(ValueError):
+    """Snap metadata lacks a field, holds one with the wrong type, or
+    carries a malformed entry; the message is the first such loss."""
 
 
 @dataclass
@@ -186,6 +191,91 @@ class ModuleDump:
     rodata_base: int = -1
 
 
+#: Marks a field a document lacks.
+_MISSING = object()
+
+#: Field annotation of a dump dataclass -> the types that may hold it.
+_ANNOTATION_TYPES = {
+    "int": int,
+    "str": str,
+    "bool": bool,
+    "int | None": (int, type(None)),
+    "str | None": (str, type(None)),
+    "list[int]": list,
+}
+
+
+def _entry_table(cls) -> tuple:
+    """``(names, types, rows)`` of a dump dataclass, ``rows`` holding
+    ``(name, types, annotation, required)`` per field, derived from its
+    annotations; a field with a default may be absent."""
+    rows = tuple(
+        (f.name, _ANNOTATION_TYPES[f.type], f.type, f.default is MISSING)
+        for f in fields(cls)
+    )
+    return tuple(row[0] for row in rows), tuple(row[1] for row in rows), rows
+
+
+#: Dump dataclass -> its :func:`_entry_table`.
+_ENTRY_FIELDS = {
+    cls: _entry_table(cls) for cls in (ModuleDump, BufferDump, ThreadDump)
+}
+
+
+def _malformed(item, rows: tuple) -> str | None:
+    """Why ``item`` cannot be the entry whose fields are ``rows``: its
+    first missing, wrongly typed or unknown field; None when it can."""
+    if not isinstance(item, dict):
+        return "not an object"
+    for name, types, annotation, required in rows:
+        value = item.get(name, _MISSING)
+        if value is _MISSING:
+            if required:
+                return f"missing {name!r}"
+        elif not isinstance(value, types):
+            return f"{name!r} is {type(value).__name__}, not {annotation}"
+    unknown = set(item) - {row[0] for row in rows}
+    return f"unknown field {min(unknown)!r}" if unknown else None
+
+
+def _entries(cls, kind: str, items: list, notes: list[str]) -> list:
+    """``items`` built as ``cls``; a malformed one is dropped, with a
+    note naming its first bad field."""
+    names, types, rows = _ENTRY_FIELDS[cls]
+    kept = []
+    for i, item in enumerate(items):
+        # The common case, every field present and well typed, is
+        # checked without a Python-level loop.
+        if not (
+            type(item) is dict
+            and item.keys() == set(names)
+            and all(map(isinstance, map(item.get, names), types))
+        ):
+            why = _malformed(item, rows)
+            if why is not None:
+                notes.append(f"{kind} entry {i}: malformed metadata dropped ({why})")
+                continue
+        kept.append(cls(**item))
+    return kept
+
+
+#: Top-level snap field -> (type, salvage stand-in, required).  Only
+#: ``replay`` may be absent (legacy snaps carry none).
+_SNAP_FIELDS = (
+    ("reason", str, "unknown", True),
+    ("detail", dict, {}, True),
+    ("process_name", str, "<unknown>", True),
+    ("pid", int, -1, True),
+    ("machine_name", str, "<unknown>", True),
+    ("clock", int, 0, True),
+    ("modules", list, (), True),
+    ("buffers", list, (), True),
+    ("threads", list, (), True),
+    ("memory", dict, {}, True),
+    ("replay", dict, {}, False),
+)
+
+
 @dataclass
 class SnapFile:
     """A complete snap: the unit handed to reconstruction."""
@@ -249,112 +339,84 @@ class SnapFile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SnapFile":
-        """Strict load: a missing field raises ``KeyError``/``TypeError``,
-        and a buffer word that is not a 32-bit word raises ``ValueError``
-        naming the buffer and the position (the record miner takes
-        buffer words as packed 32-bit data)."""
-        buffers = [BufferDump(**b) for b in d["buffers"]]
-        for buffer in buffers:
-            pos = _first_non_word(buffer.words)
-            if pos is not None:
-                raise ValueError(
-                    f"buffer {buffer.index}: word {pos} is "
-                    f"{buffer.words[pos]!r}, not a 32-bit word"
-                )
-        return cls(
-            reason=d["reason"],
-            detail=dict(d["detail"]),
-            process_name=d["process_name"],
-            pid=d["pid"],
-            machine_name=d["machine_name"],
-            clock=d["clock"],
-            modules=[ModuleDump(**m) for m in d["modules"]],
-            buffers=buffers,
-            threads=[ThreadDump(**t) for t in d["threads"]],
-            memory={k: (v[0], v[1]) for k, v in d["memory"].items()},
-            # Deep, not shallow: the nested ndlog is mutated by chaos
-            # injection and must stay independent of the source dict
-            # (the copy_snap contract).
-            replay=copy.deepcopy(d.get("replay") or {}),
-        )
+        """Strict load: :meth:`from_dict_salvage` that refuses its first
+        note, as :class:`SnapMetadataError`."""
+        snap, notes = cls.from_dict_salvage(d)
+        if notes:
+            raise SnapMetadataError(notes[0])
+        return snap
 
     @classmethod
     def from_dict_salvage(cls, d: dict) -> tuple["SnapFile", list[str]]:
-        """Tolerant counterpart of :meth:`from_dict`.
+        """Load snap metadata, noting every loss by name.
 
-        Damaged snap artifacts (torn JSON re-serialized, containers with
-        lost blobs) may be missing fields or carry malformed entries;
-        every such loss becomes a note instead of a ``KeyError``, so the
-        reconstruction pipeline always gets *a* snap to work on.
+        A top-level field (:data:`_SNAP_FIELDS`) that is missing or
+        wrongly typed takes its stand-in.  A module, buffer or thread
+        entry with a missing, wrongly typed or unknown field, and a
+        memory segment that is not a ``[base, words]`` pair, is
+        dropped.  A buffer value that is not a 32-bit word is zeroed in
+        place, so every word after it keeps its sub-buffer position.
         """
         notes: list[str] = []
-
-        def pick(items: list, kind: str, build) -> list:
-            kept = []
-            for i, item in enumerate(items if isinstance(items, list) else []):
-                try:
-                    kept.append(build(item))
-                except (TypeError, KeyError, ValueError):
-                    notes.append(f"{kind} entry {i}: malformed metadata dropped")
-            return kept
-
-        def build_buffer(b: dict) -> BufferDump:
-            # Coerce aggressively: a buffer whose geometry fields are
-            # garbage is dropped (int() raises), but a value that is not
-            # a 32-bit word is zeroed in place, so every word after it
-            # keeps its sub-buffer position and the rest stays mineable.
-            owner = b.get("owner_tid")
-            buffer = BufferDump(
-                index=int(b["index"]),
-                flags=int(b["flags"]),
-                base=int(b["base"]),
-                sub_count=int(b["sub_count"]),
-                sub_size=int(b["sub_size"]),
-                owner_tid=None if owner is None else int(owner),
-                words=list(b.get("words", [])),
-            )
-            if _first_non_word(buffer.words) is not None:
-                bad = sum(not _is_word(w) for w in buffer.words)
-                buffer.words = [w if _is_word(w) else 0 for w in buffer.words]
-                notes.append(
-                    f"buffer {buffer.index}: {bad} of {len(buffer.words)} "
-                    "values zeroed (not 32-bit words)"
-                )
-            return buffer
-
         if not isinstance(d, dict):
-            d = {}
             notes.append("snap metadata is not a mapping; starting empty")
-        snap = cls(
-            reason=d.get("reason", "unknown"),
-            detail=d.get("detail") if isinstance(d.get("detail"), dict) else {},
-            process_name=str(d.get("process_name", "<unknown>")),
-            pid=d.get("pid", -1),
-            machine_name=str(d.get("machine_name", "<unknown>")),
-            clock=d.get("clock", 0),
-            modules=pick(d.get("modules", []), "module", lambda m: ModuleDump(**m)),
-            buffers=pick(d.get("buffers", []), "buffer", build_buffer),
-            threads=pick(d.get("threads", []), "thread", lambda t: ThreadDump(**t)),
-            memory={},
-            # Copied like from_dict (a salvaged snap must never alias
-            # the caller's dict — mutations leaked into the source).
-            replay=(
-                copy.deepcopy(d.get("replay"))
-                if isinstance(d.get("replay"), dict)
-                else {}
-            ),
-        )
-        memory = d.get("memory")
-        if isinstance(memory, dict):
-            for key, value in memory.items():
-                try:
-                    snap.memory[key] = (value[0], value[1])
-                except (TypeError, IndexError, KeyError):
-                    notes.append(f"memory segment {key!r}: malformed, dropped")
-        for field_name in ("reason", "process_name", "machine_name"):
-            if field_name not in d:
-                notes.append(f"snap metadata missing {field_name!r}")
-        return snap, notes
+            d = {}
+        values = {}
+        for name, kind, stand_in, required in _SNAP_FIELDS:
+            value = d.get(name, _MISSING)
+            if not isinstance(value, kind):
+                if value is not _MISSING:
+                    notes.append(
+                        f"snap metadata {name!r} is "
+                        f"{type(value).__name__}, not {kind.__name__}"
+                    )
+                elif required:
+                    notes.append(f"snap metadata missing {name!r}")
+                value = stand_in
+            values[name] = value
+        modules = _entries(ModuleDump, "module", values["modules"], notes)
+        buffers = _entries(BufferDump, "buffer", values["buffers"], notes)
+        for buffer in buffers:
+            words = buffer.words
+            pos = _first_non_word(words)
+            if pos is not None:
+                bad = sum(not _is_word(w) for w in words)
+                notes.append(
+                    f"buffer {buffer.index}: {bad} of {len(words)} values "
+                    f"are not 32-bit words (the first is word {pos}, "
+                    f"{words[pos]!r})"
+                )
+                buffer.words = [w if _is_word(w) else 0 for w in words]
+        threads = _entries(ThreadDump, "thread", values["threads"], notes)
+        memory = {}
+        for key, value in values["memory"].items():
+            if (
+                isinstance(value, (list, tuple))
+                and len(value) == 2
+                and isinstance(value[0], int)
+                and isinstance(value[1], list)
+            ):
+                memory[key] = (value[0], value[1])
+            else:
+                notes.append(f"memory segment {key!r}: malformed, dropped")
+        return cls(
+            reason=values["reason"],
+            # Copied, not aliased: callers mutate detail (group linkage,
+            # chaos injection) after the fact.
+            detail=dict(values["detail"]),
+            process_name=values["process_name"],
+            pid=values["pid"],
+            machine_name=values["machine_name"],
+            clock=values["clock"],
+            modules=modules,
+            buffers=buffers,
+            threads=threads,
+            memory=memory,
+            # Deep, not shallow: the nested ndlog is mutated by chaos
+            # injection and must stay independent of the source dict
+            # (the copy_snap contract).
+            replay=copy.deepcopy(values["replay"]),
+        ), notes
 
     def save(self, path: str) -> None:
         """Persist as JSON (the on-disk snap artifact)."""

@@ -84,10 +84,7 @@ def _load_snap(path: str, salvage: bool = False) -> tuple[SnapFile, list[str]]:
     if salvage:
         with open(path) as fh:
             return SnapFile.from_dict_salvage(json.load(fh))
-    try:
-        return SnapFile.load(path), []
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"snap file {path} is malformed: {exc!r}") from exc
+    return SnapFile.load(path), []
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -148,11 +145,12 @@ def cmd_view(args: argparse.Namespace) -> int:
         print(f"note: {note}")
     for note in trace.notes:
         print(f"note: {note}")
-    if args.salvage and trace.salvage:
+    if args.salvage:
         from repro.reconstruct.model import DegradationSummary
 
+        # Load losses are losses too, as an incident's archive notes are.
         summary = DegradationSummary(
-            losses=[r.summary() for r in trace.salvage if r.damaged]
+            losses=load_notes + [r.summary() for r in trace.salvage if r.damaged]
         )
         print(render_degradation(summary))
     if args.flat:

@@ -123,3 +123,67 @@ def test_view_salvages_a_damaged_json_snap(artifacts, capsys, damage):
     captured = capsys.readouterr()
     assert rc == 0
     assert expected in captured.out
+
+
+def _container(tmp_path, name: str, mutate) -> str:
+    """The crash snap of :func:`artifacts` as a ``TBSZ2`` container
+    whose metadata header went through ``mutate``."""
+    import struct
+    import zlib
+
+    from repro.runtime.archive import MAGIC
+
+    body = zlib.decompress(compress_snap(build_base()[0][0])[len(MAGIC) + 4 :])
+    (size,) = struct.unpack("<I", body[:4])
+    header = json.dumps(mutate(json.loads(body[4 : 4 + size]))).encode()
+    body = struct.pack("<I", len(header)) + header + body[4 + size :]
+    path = tmp_path / name
+    path.write_bytes(MAGIC + struct.pack("<I", len(body)) + zlib.compress(body))
+    return str(path)
+
+
+def _without_pid(header: dict) -> dict:
+    del header["pid"]
+    return header
+
+
+def test_view_names_a_missing_metadata_field(tmp_path, capsys):
+    """A container without ``pid``: strict ``view`` refuses it in one
+    line naming the field; ``--salvage`` reconstructs it on the gaps
+    rung, naming the field as a loss."""
+    snaps, mapfiles, _ = build_base()
+    mapfile = tmp_path / "client.map.json"
+    mapfiles[0].save(str(mapfile))
+    archive = _container(tmp_path, "no-pid.tbsz", _without_pid)
+
+    assert main(["view", archive, str(mapfile)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"tbtrace: error: cannot load snap {archive}: "
+        "snap metadata missing 'pid'\n"
+    )
+
+    assert main(["view", archive, str(mapfile), "--salvage"]) == 0
+    out = capsys.readouterr().out
+    assert "degradation: gaps\n  snap metadata missing 'pid'\n" in out
+
+
+def test_a_non_object_header_fails_in_one_line(tmp_path, capsys):
+    """``info`` and ``view --salvage`` on a container whose header is a
+    JSON list: exit 1, the loss named once, no traceback."""
+    archive = _container(tmp_path, "list.tbsz", lambda header: [header])
+
+    assert main(["info", archive]) == 1
+    captured = capsys.readouterr()
+    problems = [
+        line for line in captured.out.splitlines() if "problem:" in line
+    ]
+    assert problems == ["  problem: metadata header is a list, not an object"]
+    assert "Traceback" not in captured.err
+
+    assert main(["view", archive, "nope.map.json", "--salvage"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"tbtrace: error: cannot load snap {archive}: "
+        "metadata header is a list, not an object\n"
+    )

@@ -247,6 +247,29 @@ def test_rebuild_index_from_archives(tmp_path):
                 json.loads(line)
 
 
+def test_rebuild_index_skips_a_malformed_archive(tmp_path):
+    """An archive whose metadata header is a JSON list holds no snap:
+    the rebuild skips it and recovers every other one."""
+    import struct
+    import zlib
+
+    from repro.runtime.archive import MAGIC
+
+    root = str(tmp_path)
+    vault = SnapVault(root, shards=2)
+    originals = {
+        vault.put(make_snap(machine=f"m{i}", payload=i)).digest
+        for i in range(4)
+    }
+    header = b"[1, 2]"
+    body = struct.pack("<I", len(header)) + header
+    bad = MAGIC + struct.pack("<I", len(body)) + zlib.compress(body)
+    write_atomic(bad, os.path.join(root, "shard-00", "0" * 64 + BLOB_SUFFIX))
+    assert vault.rebuild_index() == 4
+    assert set(vault.index) == originals
+    assert set(SnapVault(root, shards=2).index) == originals
+
+
 def test_store_bytes_counts_blobs(vault):
     vault.put(make_snap(payload=1))
     vault.put(make_snap(payload=2))

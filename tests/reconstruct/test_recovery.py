@@ -42,16 +42,22 @@ def dump_of(buf: TraceBuffer) -> BufferDump:
 def test_verify_rejects_bad_magic():
     buf = fresh_buffer()
     buf.mapped.words[0] = 0xBAD
-    with pytest.raises(RecoveryError, match="magic"):
-        verify_buffer(dump_of(buf))
+    dump = dump_of(buf)
+    assert verify_buffer(dump) == [
+        ("bad-magic", "buffer 0: bad magic 0xbad")
+    ]
+    with pytest.raises(RecoveryError, match="^buffer 0: bad magic 0xbad$"):
+        mine_buffer(dump)
 
 
 def test_verify_rejects_truncated_dump():
     buf = fresh_buffer()
     dump = dump_of(buf)
     dump.words = dump.words[:-1]
-    with pytest.raises(RecoveryError):
-        verify_buffer(dump)
+    message = "buffer 0: 25 words, header implies 26"
+    assert verify_buffer(dump) == [("length-mismatch", message)]
+    with pytest.raises(RecoveryError, match=f"^{message}$"):
+        mine_buffer(dump)
 
 
 def test_sub_buffer_order_no_commits():
@@ -230,3 +236,24 @@ def test_strict_refuses_any_lost_word(fib_run, kind, tmp_path, capsys):
     assert main(["view", str(snap_path), str(map_path)]) == 1
     err = capsys.readouterr().err
     assert "re-run with --salvage" in err and err.count("\n") == 1
+
+
+def test_a_span_that_fails_to_expand_is_one_loss(fib_run, monkeypatch):
+    """Strict refuses a span expansion cannot decode as a
+    RecoveryError naming the span; salvage notes the same text."""
+    import repro.reconstruct.session as session
+
+    def explode(span, index, snap):
+        raise IndexError("DAG record out of range")
+
+    monkeypatch.setattr(session, "expand_span", explode)
+    reconstructor = session.Reconstructor(fib_run.mapfiles)
+    salvaged = reconstructor.reconstruct(fib_run.snap, strict=False)
+    losses = [r.loss for r in salvaged.salvage if r.loss is not None]
+    assert losses and salvaged.threads == []
+    assert losses[0].endswith(
+        "span failed to expand (IndexError: DAG record out of range)"
+    )
+    with pytest.raises(RecoveryError) as excinfo:
+        reconstructor.reconstruct(fib_run.snap)
+    assert str(excinfo.value) == losses[0]
