@@ -8,8 +8,8 @@
 # >25% regression (benchmarks/_harness.py).
 #
 #   scripts/check.sh test-fast   default lane: everything not marked slow
-#                                (the tier-1 gate: 1470 tests, 45 s,
-#                                46 s wall on a 2-core host)
+#                                (the tier-1 gate: 1491 tests, 50 s,
+#                                51 s wall on a 2-core host)
 #   scripts/check.sh test-all    full lane: fast tests + slow tests +
 #                                every paper-table benchmark
 #   scripts/check.sh chaos       fault-injection suite: every chaos
@@ -35,13 +35,17 @@
 #   scripts/check.sh remote      remote-query + federation subsystem:
 #                                the wire-protocol/client tests, the
 #                                federated scatter-gather tests, the
-#                                vault CLI tests (local vs --remote
-#                                output parity, cross-vault incidents,
-#                                missing roots), the seeded query-chaos
-#                                fuzz sweep (120+ seeds), and the
-#                                federation benchmark (fan-out latency
-#                                + one-slow-vault overhead) and its
-#                                guard (BENCH_fleet.json federation)
+#                                incident grouper the merge runs (the
+#                                index-vs-oracle differential, unions
+#                                with colliding seqs, and the incident
+#                                link rules), the vault CLI tests
+#                                (local vs --remote output parity,
+#                                cross-vault incidents, missing roots),
+#                                the seeded query-chaos fuzz sweep
+#                                (120+ seeds), and the federation
+#                                benchmark (fan-out latency +
+#                                one-slow-vault overhead) and its guard
+#                                (BENCH_fleet.json federation)
 #   scripts/check.sh replay      time-travel replay subsystem: the
 #                                ndlog/engine/CLI/vault-verify unit
 #                                tests, the full differential sweep
@@ -136,7 +140,8 @@ case "${1:-test-fast}" in
     ;;
   remote)
     python -m pytest -q tests/fleet/test_remote.py \
-      tests/fleet/test_federation.py tests/fleet/test_cli_vaults.py \
+      tests/fleet/test_federation.py tests/fleet/test_index.py \
+      tests/fleet/test_incidents.py tests/fleet/test_cli_vaults.py \
       tests/fleet/test_federation_fuzz.py -m "slow or not slow"
     python benchmarks/bench_fleet_federation.py
     exec python benchmarks/bench_fleet_federation.py --check

@@ -52,7 +52,7 @@ from repro.fleet.federation import (
     canonical_entries,
     canonical_incidents,
 )
-from repro.fleet.index import IncidentIndex, batch_group
+from repro.fleet.index import IncidentIndex
 from repro.fleet.metrics import FleetMetrics
 from repro.fleet.query import Incident, VaultQuery, VaultSource
 from repro.fleet.remote import (
@@ -115,7 +115,6 @@ __all__ = [
     "VaultTimeout",
     "VaultUnavailable",
     "backoff_with_jitter",
-    "batch_group",
     "build_report",
     "canonical_buckets",
     "canonical_entries",

@@ -15,13 +15,15 @@ asks all of them and merges what comes back:
 * a federation of one source returns that source's answer unchanged,
   so ``tbtrace`` runs every vault command through here and a single
   vault still prints exactly what the vault says;
-* incident partitions merge by re-running the union-find link rules
-  over the union of fetched entries.  Every rule (group-snap fan-outs,
+* incident partitions merge by feeding the union of fetched entries
+  to one fresh :class:`~repro.fleet.index.IncidentIndex`, the grouper
+  every vault runs at ingest.  Every link rule (group-snap fan-outs,
   initiator matching, shared SYNC logical ids) is a pure function of
   entry metadata, so within-vault edges are rediscovered and
   cross-vault edges — the SYNC ids that already cross machines —
   appear exactly as they would had every snap landed in one merged
-  vault;
+  vault.  Seqs are per vault, so the merge links with no ``window``,
+  and a federation of several vaults refuses one;
 * triage buckets merge under min-signature union over the merged
   incidents, the same bucket key rule the incident index maintains,
   into :class:`~repro.fleet.triage.CrashBucket`\\ s without seqs;
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.fleet.index import batch_group
+from repro.fleet.index import IncidentIndex
 from repro.fleet.metrics import FleetMetrics
 from repro.fleet.query import Incident, VaultSource
 from repro.fleet.remote import (
@@ -141,25 +143,26 @@ def _coverage(statuses: list[VaultStatus]) -> str:
 # Merging
 # ----------------------------------------------------------------------
 def merge_incidents(entries: list[VaultEntry]) -> list[Incident]:
-    """Merge per-vault partitions: union-find over the entry union.
+    """Merge per-vault partitions: the entry union, fed in digest order
+    to one fresh :class:`~repro.fleet.index.IncidentIndex`.
 
     Seqs from different vaults collide, so the unbounded (window=None)
-    grouper is the only correct one here; ordering is canonicalized by
-    digest instead of seq.
+    index is the only correct one here: its partition and link kinds
+    read no seqs.  Ordering is canonicalized by digest instead of seq.
     """
-    ordered = sorted(entries, key=lambda e: e.digest)
-    clusters, kinds = batch_group(ordered, None)
-    incidents = []
-    for position, members in enumerate(clusters):
-        incidents.append(
-            Incident(
-                incident_id=position,
-                entries=sorted(
-                    (ordered[m] for m in members), key=lambda e: e.digest
-                ),
-                links=kinds[position],
-            )
+    index = IncidentIndex()
+    by_digest = {}
+    for entry in sorted(entries, key=lambda e: e.digest):
+        index.add(entry)
+        by_digest[entry.digest] = entry
+    incidents = [
+        Incident(
+            incident_id=0,
+            entries=[by_digest[d] for d in sorted(component.digests)],
+            links=component.kinds,
         )
+        for component in index.components()
+    ]
     incidents.sort(key=lambda inc: inc.entries[0].digest)
     for position, incident in enumerate(incidents):
         incident.incident_id = position
@@ -175,8 +178,9 @@ def merge_buckets(
     order-free rule the incident index applies per vault, so two
     vaults' buckets for one fault land in one federated bucket.
     Vault-relative seqs don't survive federation: the buckets carry
-    no first/last seq, and the exemplar is the smallest
-    signature-carrying digest (canonical, not earliest-ingest).
+    no first/last seq, and the exemplar is the smallest digest whose
+    own signature is the bucket's — the vault's exemplar rule, in
+    digest order rather than ingest order.
     """
     grouped: dict[str, list[Incident]] = {}
     for incident in incidents:
@@ -195,7 +199,7 @@ def merge_buckets(
                 incidents=len(members),
                 machines=sorted({e.machine for e in entries}),
                 processes=sorted({e.process for e in entries}),
-                exemplar=min(e.digest for e in entries if e.sig is not None),
+                exemplar=min(e.digest for e in entries if e.sig == sig),
             )
         )
     buckets.sort(key=lambda b: (-b.count, b.sig))
@@ -342,8 +346,12 @@ class FederatedQuery(VaultSource):
         Filters keep per-vault semantics (the whole incident touching a
         match, bystanders included); members of a cross-vault incident
         whose *only* matching snaps live in a lost vault are part of
-        the coverage loss the report names.
+        the coverage loss the report names.  A ``window`` needs one
+        source: seqs are per vault, so with several it raises
+        :class:`ValueError` rather than be dropped by the merge.
         """
+        if filters.get("window") is not None and len(self.sources) > 1:
+            raise ValueError("window needs one vault: seqs are per vault")
 
         def merge(gathered: dict[str, list[Incident]]) -> list[Incident]:
             members = {

@@ -1,15 +1,15 @@
-"""The persisted incident index: ingest-time correlation, O(result) queries.
+"""The incident index: the one grouper of vault snaps into incidents.
 
-PR 3's :meth:`VaultQuery.incidents` re-ran union-find over the whole
-manifest on every query — fine at 1k snaps, quadratic-feeling at 100k.
-Like Magpie's online event correlation (PAPERS.md), this module moves
-the correlation work to *ingest time*:
+Re-running union-find over the whole manifest on every query is fine at
+1k snaps and quadratic-feeling at 100k.  Like Magpie's online event
+correlation (PAPERS.md), this module moves the correlation work to
+*ingest time*:
 
 * every stored :class:`~repro.fleet.store.VaultEntry` is fed to
   :meth:`IncidentIndex.add` (in ingest-sequence order, under the
-  vault's index lock), which applies exactly the link rules the batch
-  grouper used — group-snap fan-outs, initiator matching, shared SYNC
-  logical-thread ids — incrementally, as union-find edges;
+  vault's index lock), which applies the link rules — group-snap
+  fan-outs (§3.6.1), initiator matching, shared SYNC logical-thread ids
+  (§5.1) — incrementally, as union-find edges;
 * the resulting partition is checkpointed to ``incidents.idx`` at the
   vault root (atomic replace, torn-write tolerant), and **rebuildable
   from the manifests alone**: replaying every manifest entry in
@@ -33,12 +33,15 @@ the correlation work to *ingest time*:
   and process multisets, exemplar), so listing the buckets costs
   O(buckets), not O(members).
 
-The edge rules replicate :func:`batch_group` (the original algorithm,
-kept both as the explicit-``window``/ad-hoc-entry-list path and as the
-differential-testing oracle): chains link consecutive members, the
-fan-out's *first* member anchors initiator matches, and an optional
-``window`` bounds every edge by ingest-sequence distance so one vault
-holding many runs with reset runtime ids does not cross-link them.
+Every other grouping replays entries into a fresh index as well: an
+explicit entry list or ``window``
+(:meth:`~repro.fleet.query.VaultQuery.incidents`) and the union of
+several vaults' entries (:func:`~repro.fleet.federation.merge_incidents`).
+Chains link consecutive members, the fan-out's *first* member anchors
+initiator matches, and an optional ``window`` bounds every edge by
+ingest-sequence distance so one vault holding many runs with reset
+runtime ids does not cross-link them.  The tests hold a one-shot
+union-find over the same rules as the differential oracle.
 """
 
 from __future__ import annotations
@@ -70,79 +73,6 @@ CHECKPOINT_TAIL = 8
 
 #: The link kinds a component can record (checkpoint validation).
 LINK_KINDS = frozenset({"group-snap", "sync-link"})
-
-
-# ----------------------------------------------------------------------
-# The original batch grouper (explicit windows, ad-hoc entry lists, and
-# the oracle the incremental index is differentially tested against).
-# ----------------------------------------------------------------------
-def batch_group(
-    entries: list[VaultEntry], window: int | None = None
-) -> tuple[list[list[int]], dict[int, set[str]]]:
-    """Union-find over ``entries``; returns (clusters, kinds-per-cluster).
-
-    Clusters are lists of indexes into ``entries`` sorted by seq, the
-    cluster list itself ordered by first-ingest seq.  The kinds dict is
-    keyed by cluster position.
-    """
-    parent = list(range(len(entries)))
-    link_kinds: dict[int, set[str]] = {i: set() for i in parent}
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int, kind: str) -> None:
-        if window is not None and abs(entries[i].seq - entries[j].seq) > window:
-            return
-        ri, rj = find(i), find(j)
-        link_kinds[ri].add(kind)
-        link_kinds[rj].add(kind)
-        if ri != rj:
-            parent[rj] = ri
-            link_kinds[ri] |= link_kinds[rj]
-
-    # Link 1: co-triggered group snaps + the initiating snap.
-    by_fanout: dict[tuple, list[int]] = {}
-    for i, entry in enumerate(entries):
-        if entry.group and entry.initiator:
-            key = (entry.group, entry.initiator, entry.initiator_reason)
-            by_fanout.setdefault(key, []).append(i)
-    for (group, initiator, initiator_reason), members in by_fanout.items():
-        for a, b in zip(members, members[1:]):
-            union(a, b, "group-snap")
-        # The initiator's own snap carries no group tag; match it by
-        # (process, reason) — that pair is what the fan-out recorded.
-        for i, entry in enumerate(entries):
-            if (
-                entry.process == initiator
-                and entry.reason == initiator_reason
-            ):
-                union(members[0], i, "group-snap")
-
-    # Link 2: shared SYNC logical-thread ids across snaps.
-    by_sync: dict[int, list[int]] = {}
-    for i, entry in enumerate(entries):
-        for logical_id in entry.sync_ids:
-            by_sync.setdefault(logical_id, []).append(i)
-    for members in by_sync.values():
-        for a, b in zip(members, members[1:]):
-            union(a, b, "sync-link")
-
-    clusters: dict[int, list[int]] = {}
-    for i in range(len(entries)):
-        clusters.setdefault(find(i), []).append(i)
-    ordered = sorted(
-        clusters.items(), key=lambda kv: min(entries[m].seq for m in kv[1])
-    )
-    out_clusters = []
-    out_kinds = {}
-    for position, (root, members) in enumerate(ordered):
-        out_clusters.append(sorted(members, key=lambda m: entries[m].seq))
-        out_kinds[position] = set(link_kinds[root])
-    return out_clusters, out_kinds
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +163,7 @@ class IncidentIndex:
         #: Members a compaction has removed from the vault; they stay in
         #: the partition until the compaction's closing rebuild.
         self._dropped: set[str] = set()
-        # -- chain state replicating batch_group's edge set ------------
+        # -- chain state of the link rules ----------------------------
         self._fanout_prev: dict[tuple, str] = {}
         self._fanout_anchor: dict[tuple, str] = {}
         self._sync_prev: dict[int, str] = {}
@@ -444,10 +374,18 @@ class IncidentIndex:
     def add(self, entry: VaultEntry) -> None:
         """Fold one just-stored entry into the partition.
 
-        Replicates :func:`batch_group`'s edges exactly: chain to the
-        previous fan-out member / previous SYNC carrier, anchor the
-        fan-out's first member against every (process, reason) match —
-        past matches now, future matches as they arrive.
+        Chain to the previous fan-out member / previous SYNC carrier,
+        anchor the fan-out's first member against every (process,
+        reason) match — past matches now, future matches as they
+        arrive.
+
+        With no ``window`` the partition and its link kinds read no
+        seqs and do not depend on feed order: every fan-out's members
+        and matches, and every SYNC id's carriers, end up connected
+        whichever arrives first.  So the union of several vaults'
+        entries, whose per-vault seqs collide, groups correctly fed in
+        any order; the tests check digest-ordered unions against the
+        one-shot oracle and shuffled feeds against each other.
         """
         digest = entry.digest
         if digest in self.seq:

@@ -17,22 +17,21 @@ Reconstruction stays lazy: grouping works from manifest metadata alone
 (the SYNC logical ids are mined once, at ingest); archives are only
 read when an incident is actually reconstructed — strict or salvage.
 
-Since the parallel-ingest PR, the grouping itself is also done once,
-at ingest: the vault maintains a persisted
-:class:`~repro.fleet.index.IncidentIndex`, so the default
+The grouping itself is done once, at ingest: the vault maintains a
+persisted :class:`~repro.fleet.index.IncidentIndex`, so the default
 :meth:`VaultQuery.incidents` call reads a precomputed partition
 (O(result)) instead of re-running union-find over the whole manifest
 (O(vault)), and :meth:`VaultQuery.incident_of` answers "what happened
-around *this* snap" in time proportional to that one incident.  The
-original batch grouper remains for ad-hoc entry lists and explicit
-``window`` overrides.
+around *this* snap" in time proportional to that one incident.  An
+ad-hoc entry list or an explicit ``window`` is replayed into a fresh
+index of its own, and every listing reads its index the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.fleet.index import batch_group
+from repro.fleet.index import IncidentIndex
 from repro.fleet.metrics import FleetMetrics
 from repro.fleet.store import SnapVault, VaultEntry
 from repro.instrument.mapfile import Mapfile
@@ -211,49 +210,39 @@ class VaultQuery(VaultSource):
         The default call (no ``entries``, no explicit ``window``) reads
         the vault's persisted incident index: the partition was built
         incrementally at ingest, so only the requested incidents are
-        materialized.  The ``machine``/``process``/``reason``/
-        ``group``/``sync_id`` filters narrow via the index's secondary
-        maps — O(matching entries), not O(vault) — and return every
-        incident *touching* a matching snap (the whole incident, not
-        just its matching members: the bystander evidence is the
-        point).
+        materialized.  An explicit ``entries`` list, or a ``window``
+        other than the one the vault's index was built with, is first
+        replayed into a fresh :class:`~repro.fleet.index.IncidentIndex`
+        (``window`` bounds linking to entries within that many ingest
+        sequence numbers — useful when one vault holds many runs whose
+        runtime ids were deliberately reset to identical values).
 
-        Passing an explicit ``entries`` list, or a ``window`` other
-        than the one the vault's index was built with, falls back to
-        the original one-shot union-find (``window`` bounds linking to
-        entries within that many ingest sequence numbers — useful when
-        one vault holds many runs whose runtime ids were deliberately
-        reset to identical values).
+        Either way the ``machine``/``process``/``reason``/``group``/
+        ``sync_id`` filters narrow via the index's secondary maps —
+        O(matching entries), not O(vault) — and return every incident
+        *touching* a matching snap (the whole incident, not just its
+        matching members: the bystander evidence is the point).
         """
-        index = getattr(self.vault, "incident_index", None)
-        use_index = (
-            entries is None
-            and index is not None
-            and (window is USE_INDEX_WINDOW or window == index.window)
+        index = self.vault.incident_index
+        by_digest = self.vault.index
+        if entries is not None or (
+            window is not USE_INDEX_WINDOW and window != index.window
+        ):
+            if window is USE_INDEX_WINDOW:
+                window = None
+            if entries is None:
+                entries = self.vault.select()
+            index = IncidentIndex.rebuild(entries, window)
+            by_digest = {e.digest: e for e in entries}
+        return self._incidents_indexed(
+            index,
+            by_digest,
+            machine=machine,
+            process=process,
+            reason=reason,
+            group=group,
+            sync_id=sync_id,
         )
-        if use_index:
-            return self._incidents_indexed(
-                index,
-                machine=machine,
-                process=process,
-                reason=reason,
-                group=group,
-                sync_id=sync_id,
-            )
-        if window is USE_INDEX_WINDOW:
-            window = None
-        if entries is None:
-            entries = self.vault.select()
-        entries = [
-            e
-            for e in entries
-            if (machine is None or e.machine == machine)
-            and (process is None or e.process == process)
-            and (reason is None or e.reason == reason)
-            and (group is None or e.group == group)
-            and (sync_id is None or sync_id in e.sync_ids)
-        ]
-        return self._incidents_batch(entries, window)
 
     def top(self, limit: int | None = None):
         """Ranked "top crashers" buckets — O(buckets), no archives.
@@ -370,7 +359,8 @@ class VaultQuery(VaultSource):
 
     def _incidents_indexed(
         self,
-        index,
+        index: IncidentIndex,
+        by_digest: dict[str, VaultEntry],
         machine=None,
         process=None,
         reason=None,
@@ -399,7 +389,7 @@ class VaultQuery(VaultSource):
         for position, component in enumerate(index.components(candidates)):
             entries = [
                 e
-                for e in (self.vault.index.get(d) for d in component.digests)
+                for e in (by_digest.get(d) for d in component.digests)
                 if e is not None
             ]
             if not entries:
@@ -409,23 +399,6 @@ class VaultQuery(VaultSource):
                     incident_id=position,
                     entries=entries,
                     links=component.kinds,
-                )
-            )
-        self.metrics.incidents_built += len(incidents)
-        return incidents
-
-    def _incidents_batch(
-        self, entries: list[VaultEntry], window: int | None
-    ) -> list[Incident]:
-        """The original one-shot union-find grouper."""
-        clusters, kinds = batch_group(entries, window)
-        incidents = []
-        for position, members in enumerate(clusters):
-            incidents.append(
-                Incident(
-                    incident_id=position,
-                    entries=[entries[m] for m in members],
-                    links=kinds[position],
                 )
             )
         self.metrics.incidents_built += len(incidents)

@@ -154,7 +154,10 @@ def _read(data: bytes) -> tuple[SnapFile | None, dict]:
     survives; the report is :func:`inspect_container`'s, its
     ``"problems"`` every loss in the order met.  Each shape is checked
     before it is used; a buffer entry or blob marker that cannot be
-    sized stops the blob walk, since no later blob can be located.
+    sized stops the blob walk, since no later blob can be located, and
+    the entries it did not reach keep their metadata but no words.  A
+    marker whose tag alone is damaged is named, and the walk goes on by
+    its size.
     """
     info: dict = {
         "version": None,
@@ -206,28 +209,38 @@ def _read(data: bytes) -> tuple[SnapFile | None, dict]:
     cursor = 4 + header_len
     buffers = header.get("buffers")
     # Not a list: the metadata parse names the field; no blob is read.
-    for i, buffer in enumerate(buffers if isinstance(buffers, list) else ()):
+    walk = buffers if isinstance(buffers, list) else []
+    for i, buffer in enumerate(walk):
         if not isinstance(buffer, dict):
             losses.append(
                 f"buffer entry {i} is not an object; "
                 "no later blob can be located"
             )
             break
+        # _pack_body writes a marker for every buffer entry.
         marker = buffer.get("words")
-        if not (isinstance(marker, list) and marker and marker[0] == "blob"):
-            continue
-        size = marker[2] if len(marker) > 2 else None
+        name = f"buffer {buffer.get('index', '?')}"
+        size = None
+        if isinstance(marker, list) and len(marker) > 2:
+            size = marker[2]
         if type(size) is not int or size < 0:
-            losses.append(
-                f"buffer {buffer.get('index', '?')}: blob marker size "
-                f"{size!r} is not a byte count; no later blob can be located"
-            )
+            # An entry with no words value at all is the metadata
+            # parse's to name, unless later blobs are lost with it.
+            if marker is not None or i + 1 < len(walk):
+                losses.append(
+                    f"{name}: blob marker size {size!r} is not a byte "
+                    "count; no later blob can be located"
+                )
             break
+        if marker[0] != "blob":
+            # The walk goes on by the size: the later blobs' CRCs
+            # confirm the offsets.
+            losses.append(f"{name}: blob marker tag {marker[0]!r} is not 'blob'")
         blob = body[cursor : cursor + size]
         state, problem = _check_blob(marker, blob)
         if problem:
             info["crc_ok"] = False
-            losses.append(f"buffer {buffer.get('index', '?')}: {problem}")
+            losses.append(f"{name}: {problem}")
         info["blobs"].append(
             {
                 "index": buffer.get("index"),
@@ -238,6 +251,13 @@ def _read(data: bytes) -> tuple[SnapFile | None, dict]:
         )
         buffer["words"] = unpack_words(blob)
         cursor += size
+    else:
+        i = len(walk)
+    # The entries the walk could not locate lose their words: no marker
+    # reaches the metadata parse as words.
+    for buffer in walk[i:]:
+        if isinstance(buffer, dict) and isinstance(buffer.get("words"), list):
+            buffer["words"] = []
     snap, notes = SnapFile.from_dict_salvage(header)
     losses.extend(notes)
     return snap, info

@@ -410,10 +410,11 @@ def cmd_incidents(args: argparse.Namespace) -> int:
     from repro.fleet.remote import RemoteQueryError
 
     federation = _federation(args)
-    if args.window is not None and len(federation.sources) > 1:
-        raise CommandError("--window needs one vault: seqs are per vault")
     window = {} if args.window is None else {"window": args.window}
-    incidents, report = _ask(federation, "incidents", **window)
+    try:
+        incidents, report = _ask(federation, "incidents", **window)
+    except ValueError as exc:  # a window over several vaults
+        raise CommandError(f"--{exc}") from None
     if args.json:
         for incident in incidents:
             print(json.dumps(incident.to_dict(), sort_keys=True))

@@ -23,7 +23,9 @@ from repro.distributed.network import Network
 from repro.distributed.session import DistributedSession
 from repro.fleet import (
     FederatedQuery,
+    IncidentIndex,
     SnapVault,
+    VaultEntry,
     VaultQuery,
     canonical_buckets,
     canonical_entries,
@@ -33,6 +35,8 @@ from repro.fleet.federation import (
     COVERAGE_DEGRADED,
     COVERAGE_FULL,
     COVERAGE_PARTIAL,
+    merge_buckets,
+    merge_incidents,
 )
 from repro.fleet.remote import RemoteVaultClient, VaultService
 
@@ -118,6 +122,46 @@ def test_federated_filters_keep_per_vault_semantics(fleet):
     assert canon(canonical_entries(entries)) == canon(
         canonical_entries(local.select(machine="machine-c"))
     )
+
+
+def test_window_over_several_vaults_is_refused(fleet):
+    """Seqs are per vault, so a merge cannot honour a window: several
+    sources refuse it, and one source keeps its own."""
+    roots, _, _ = fleet
+    federated, _ = serve_federation(open_fleet(roots), Network())
+    with pytest.raises(ValueError, match="seqs are per vault"):
+        federated.incidents(window=1)
+    east = SnapVault(roots["vault-east"])
+    alone = FederatedQuery({"vault-east": VaultQuery(east)})
+    incidents, report = alone.incidents(window=1)
+    assert report.coverage == COVERAGE_FULL
+    assert incidents == VaultQuery(east).incidents(window=1)
+
+
+def test_federated_exemplar_carries_the_bucket_signature():
+    """Two SYNC-linked crashes from two vaults bucket under the smaller
+    signature, and the exemplar is a snap that carries it — the one an
+    index holding both entries names — not the smallest signed digest."""
+    segv = "unhandled:SEGV @ server.handle(server.c:9)"
+    divide = "unhandled:DIVIDE_BY_ZERO @ client.main(client.c:10)"
+    entries = [
+        VaultEntry(
+            digest=digest, seq=0, shard=0, machine=machine, process=process,
+            pid=1, reason="unhandled", clock=0, size=64, sync_ids=[7],
+            sig=sig,
+        )
+        for digest, machine, process, sig in (
+            ("aaaa", "machine-c", "server", segv),
+            ("bbbb", "machine-a", "client", divide),
+        )
+    ]
+    (bucket,) = merge_buckets(merge_incidents(entries))
+    assert (bucket.sig, bucket.count, bucket.incidents) == (divide, 2, 1)
+    assert bucket.exemplar == "bbbb"
+    index = IncidentIndex()
+    for entry in entries:
+        index.add(entry)
+    assert index.exemplar_digest(divide) == bucket.exemplar
 
 
 # ----------------------------------------------------------------------

@@ -1,23 +1,102 @@
 """The persisted incident index: incremental == batch, bit-identical rebuild.
 
-The index is only trustworthy if two properties hold everywhere:
+The index is the only incident grouper (every vault listing, explicit
+entry list, window and federation merge goes through it), so it is only
+trustworthy if two properties hold everywhere:
 
 * **equivalence** — feeding entries to :meth:`IncidentIndex.add` in
   ingest order produces exactly the partition (and link kinds) the
-  original one-shot :func:`batch_group` computes;
+  one-shot :func:`batch_group` oracle below computes, and with no
+  window so does a several-vault union fed in digest order;
 * **canonical persistence** — ``incidents.idx`` is a pure function of
   the partition, so rebuilding from the manifests alone reproduces the
   checkpoint byte for byte, and a torn / stale / mismatched checkpoint
   degrades to a rebuild, never to wrong answers.
 """
 
+import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.fleet import IncidentIndex, SnapVault, VaultEntry, VaultQuery
-from repro.fleet.index import INDEX_FILE, batch_group
+from repro.fleet.federation import merge_incidents
+from repro.fleet.index import INDEX_FILE
+
+
+# ----------------------------------------------------------------------
+# The one-shot grouper: the differential oracle the index is tested
+# against.
+# ----------------------------------------------------------------------
+def batch_group(
+    entries: list[VaultEntry], window: int | None = None
+) -> tuple[list[list[int]], dict[int, set[str]]]:
+    """Union-find over ``entries``; returns (clusters, kinds-per-cluster).
+
+    Clusters are lists of indexes into ``entries`` sorted by seq, the
+    cluster list itself ordered by first-ingest seq.  The kinds dict is
+    keyed by cluster position.
+    """
+    parent = list(range(len(entries)))
+    link_kinds: dict[int, set[str]] = {i: set() for i in parent}
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i: int, j: int, kind: str) -> None:
+        if window is not None and abs(entries[i].seq - entries[j].seq) > window:
+            return
+        ri, rj = find(i), find(j)
+        link_kinds[ri].add(kind)
+        link_kinds[rj].add(kind)
+        if ri != rj:
+            parent[rj] = ri
+            link_kinds[ri] |= link_kinds[rj]
+
+    # Link 1: co-triggered group snaps + the initiating snap.
+    by_fanout: dict[tuple, list[int]] = {}
+    for i, entry in enumerate(entries):
+        if entry.group and entry.initiator:
+            key = (entry.group, entry.initiator, entry.initiator_reason)
+            by_fanout.setdefault(key, []).append(i)
+    for (group, initiator, initiator_reason), members in by_fanout.items():
+        for a, b in zip(members, members[1:]):
+            union(a, b, "group-snap")
+        # The initiator's own snap carries no group tag; match it by
+        # (process, reason) — that pair is what the fan-out recorded.
+        for i, entry in enumerate(entries):
+            if (
+                entry.process == initiator
+                and entry.reason == initiator_reason
+            ):
+                union(members[0], i, "group-snap")
+
+    # Link 2: shared SYNC logical-thread ids across snaps.
+    by_sync: dict[int, list[int]] = {}
+    for i, entry in enumerate(entries):
+        for logical_id in entry.sync_ids:
+            by_sync.setdefault(logical_id, []).append(i)
+    for members in by_sync.values():
+        for a, b in zip(members, members[1:]):
+            union(a, b, "sync-link")
+
+    clusters: dict[int, list[int]] = {}
+    for i in range(len(entries)):
+        clusters.setdefault(find(i), []).append(i)
+    ordered = sorted(
+        clusters.items(), key=lambda kv: min(entries[m].seq for m in kv[1])
+    )
+    out_clusters = []
+    out_kinds = {}
+    for position, (root, members) in enumerate(ordered):
+        out_clusters.append(sorted(members, key=lambda m: entries[m].seq))
+        out_kinds[position] = set(link_kinds[root])
+    return out_clusters, out_kinds
 
 
 def entry(seq, machine="m", process="p", reason="api", sync_ids=(),
@@ -124,6 +203,52 @@ def test_window_bounds_incremental_edges():
         ["digest-0000", "digest-0001"],
         ["digest-0050", "digest-0051"],
     ]
+
+
+def vault_union(seed: int, vaults: int = 3) -> list[VaultEntry]:
+    """Several vaults' entries as a federation gathers them: each vault
+    numbers its seqs from 0, so seqs collide across vaults, and the
+    content digests (``<hash>-v<vault>``) interleave the vaults."""
+    union = []
+    for vault in range(vaults):
+        for e in random_entries(seed * vaults + vault, count=60):
+            mark = hashlib.sha256(f"{vault}/{e.seq}".encode()).hexdigest()
+            union.append(replace(e, digest=f"{mark[:16]}-v{vault}"))
+    return union
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_digest_ordered_union_matches_batch(seed):
+    """A federation merge feeds the vaults' union, colliding seqs and
+    all, to one unwindowed index in digest order."""
+    union = vault_union(seed)
+    merged = merge_incidents(union)
+    ordered = sorted(union, key=lambda e: e.digest)
+    assert {
+        frozenset(e.digest for e in incident.entries): incident.links
+        for incident in merged
+    } == partition_of_batch(ordered, None)
+    firsts = [incident.entries[0].digest for incident in merged]
+    assert firsts == sorted(firsts)
+    assert any(
+        len({e.digest[-2:] for e in incident.entries}) > 1
+        for incident in merged
+    ), "no incident spans vaults"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_shuffled_feeds_give_one_partition(seed):
+    """With no window, feed order moves neither the partition nor its
+    link kinds, even when seqs collide."""
+    union = vault_union(seed)
+    expected = partition_of_batch(union, None)
+    rng = random.Random(seed)
+    for _ in range(25):
+        rng.shuffle(union)
+        index = IncidentIndex()
+        for e in union:
+            index.add(e)
+        assert partition_of_index(index) == expected
 
 
 # ----------------------------------------------------------------------
@@ -356,10 +481,6 @@ def test_indexed_filters_match_batch_filters(tmp_path, make_vault_snaps):
         {"machine": "m0", "reason": "api"},
     ):
         indexed = query.incidents(**filters)
-        # The fallback path groups only the filtered entries, so to
-        # compare apples to apples: every indexed incident must touch a
-        # matching entry, and every batch-side matching entry must be
-        # in some indexed incident.
         batch_entries = [
             e
             for e in vault.select()
@@ -377,16 +498,14 @@ def test_indexed_filters_match_batch_filters(tmp_path, make_vault_snaps):
             )
 
 
-def test_explicit_window_bypasses_index(tmp_path, make_vault_snaps):
+def test_explicit_window_regroups_in_a_fresh_index(tmp_path, make_vault_snaps):
     vault = SnapVault(str(tmp_path / "vault"), shards=2, link_window=None)
     for snap in make_vault_snaps(20):
         vault.put(snap)
     query = VaultQuery(vault)
-    # window=2 differs from the index's window → batch path; its result
-    # must match a from-scratch batch grouping.
+    # window=2 differs from the index's window: the vault's entries are
+    # regrouped in a fresh index, whose partition is the oracle's.
     narrow = query.incidents(window=2)
-    entries = vault.select()
-    clusters, _ = batch_group(entries, 2)
-    assert sorted(len(c) for c in clusters) == sorted(
-        len(i.entries) for i in narrow
-    )
+    assert {
+        frozenset(e.digest for e in i.entries): i.links for i in narrow
+    } == partition_of_batch(vault.select(), 2)

@@ -142,6 +142,20 @@ def test_incidents_match_local_query(vault):
     assert remote == [i.to_dict() for i in local.incidents()]
 
 
+def test_a_filter_means_one_thing_at_any_window(vault):
+    """A filter returns the whole incident touching a match, whether the
+    vault's index groups or an explicit window regroups, locally and
+    over the wire."""
+    _, _, client = serve(vault)
+    local = VaultQuery(vault)
+    (whole,) = local.incidents()
+    assert len(whole.machines) == 3
+    for source in (local, client):
+        for window in ({}, {"window": 10**9}):
+            (incident,) = source.incidents(machine="machine-a", **window)
+            assert incident.to_dict() == whole.to_dict()
+
+
 def test_top_buckets_match_local_query(vault):
     _, _, client = serve(vault)
     local = VaultQuery(vault)

@@ -19,7 +19,8 @@ from repro.runtime import (
     salvage_decompress,
     save_compressed,
 )
-from repro.runtime.archive import inspect_container, pack_words
+from repro.runtime.archive import MAGIC, inspect_container, pack_words
+from repro.workloads import random_crasher
 
 LOOPY = """
 int counters[16];
@@ -135,6 +136,65 @@ def test_blob_marker_without_crc_is_damage():
     info = inspect_container(data)
     assert info["crc_ok"] is False
     assert {blob["crc"] for blob in info["blobs"]} == {"missing"}
+
+
+def _crasher_container() -> tuple:
+    """A ``random_crasher(3)`` snap (six buffers) and its container."""
+    session = TraceSession(
+        runtime_config=RuntimeConfig(
+            policy=SnapPolicy.parse("snap on unhandled")
+        )
+    )
+    session.add_minic(random_crasher(3), name="rnd", file_name="rnd.c")
+    snap = session.run(max_cycles=30_000_000).snap
+    return snap, compress_snap(snap)
+
+
+def _rewrite_first_marker(data: bytes, position: int, value) -> bytes:
+    """``data`` with item ``position`` of its first blob marker set to
+    ``value``, repacked with a matching length word."""
+    body = zlib.decompress(data[len(MAGIC) + 4 :])
+    (header_len,) = struct.unpack_from("<I", body)
+    header = json.loads(body[4 : 4 + header_len])
+    header["buffers"][0]["words"][position] = value
+    raw = json.dumps(header).encode()
+    body = struct.pack("<I", len(raw)) + raw + body[4 + header_len :]
+    return MAGIC + struct.pack("<I", len(body)) + zlib.compress(body)
+
+
+def test_damaged_marker_tag_is_one_note_and_shifts_no_blob():
+    """Every buffer entry carries a marker, so a marker whose only
+    damage is its tag is named once and the walk goes on by its size:
+    every later CRC passes and every word comes back."""
+    snap, data = _crasher_container()
+    bad = _rewrite_first_marker(data, 0, "bnob")
+    note = f"buffer {snap.buffers[0].index}: blob marker tag 'bnob' is not 'blob'"
+    recovered, notes = salvage_decompress(bad)
+    assert notes == [note]
+    assert [b.words for b in recovered.buffers] == [
+        b.words for b in snap.buffers
+    ]
+    info = inspect_container(bad)
+    assert info["crc_ok"] is True
+    assert [blob["crc"] for blob in info["blobs"]] == ["ok"] * 6
+    with pytest.raises(ArchiveError) as excinfo:
+        decompress_snap(bad)
+    assert str(excinfo.value) == note
+
+
+def test_unsized_marker_stops_the_walk_and_no_marker_becomes_words():
+    """A marker without a byte-count size is the walk's one note: the
+    entries it did not reach keep their metadata and no words."""
+    snap, data = _crasher_container()
+    recovered, notes = salvage_decompress(_rewrite_first_marker(data, 2, "72"))
+    assert notes == [
+        f"buffer {snap.buffers[0].index}: blob marker size '72' is not a "
+        "byte count; no later blob can be located"
+    ]
+    assert [b.index for b in recovered.buffers] == [
+        b.index for b in snap.buffers
+    ]
+    assert all(b.words == [] for b in recovered.buffers)
 
 
 # ----------------------------------------------------------------------
