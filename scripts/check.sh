@@ -8,8 +8,8 @@
 # >25% regression (benchmarks/_harness.py).
 #
 #   scripts/check.sh test-fast   default lane: everything not marked slow
-#                                (the tier-1 gate: 1491 tests, 50 s,
-#                                51 s wall on a 2-core host)
+#                                (the tier-1 gate: 1545 tests, 41 s,
+#                                42 s wall on a 2-core host)
 #   scripts/check.sh test-all    full lane: fast tests + slow tests +
 #                                every paper-table benchmark
 #   scripts/check.sh chaos       fault-injection suite: every chaos
@@ -63,7 +63,13 @@
 #                                tier-3 unit tests (the CALL, CALLR,
 #                                CALLX, SYS and HALT terminators
 #                                checked against the reference in
-#                                partial runs), the lap-stop sweep
+#                                partial runs), the inlined probe-call
+#                                tests (the helper's fast path and its
+#                                side exits, faults at and inside the
+#                                call, chunks and laps across it, per-
+#                                thread trace hit caches, and counts
+#                                proving the fast path is taken on
+#                                parser and gzip), the lap-stop sweep
 #                                (a lone thread's merged slices stop
 #                                where per-quantum slices do: kernels,
 #                                crashers and the transitions program
@@ -157,6 +163,7 @@ case "${1:-test-fast}" in
     ;;
   tier3)
     python -m pytest -q tests/vm/test_differential.py tests/vm/test_blocks.py \
+      tests/vm/test_probe_units.py \
       tests/vm/test_lap_stops.py tests/replay/test_cross_engine.py \
       tests/replay/test_schedule_golden.py -m "slow or not slow"
     python benchmarks/bench_interpreter.py

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.fleet.index import IncidentIndex
+from repro.fleet.index import IncidentIndex, check_window
 from repro.fleet.metrics import FleetMetrics
 from repro.fleet.query import Incident, VaultSource
 from repro.fleet.remote import (
@@ -348,9 +348,13 @@ class FederatedQuery(VaultSource):
         whose *only* matching snaps live in a lost vault are part of
         the coverage loss the report names.  A ``window`` needs one
         source: seqs are per vault, so with several it raises
-        :class:`ValueError` rather than be dropped by the merge.
+        :class:`ValueError` rather than be dropped by the merge.  A
+        negative one raises it too, here, so a local and a served
+        vault refuse it with the same message.
         """
-        if filters.get("window") is not None and len(self.sources) > 1:
+        window = filters.get("window")
+        check_window(window)
+        if window is not None and len(self.sources) > 1:
             raise ValueError("window needs one vault: seqs are per vault")
 
         def merge(gathered: dict[str, list[Incident]]) -> list[Incident]:

@@ -116,6 +116,13 @@ class BucketSummary:
     stale: bool = False
 
 
+def check_window(window: int | None) -> None:
+    """Refuse a negative ``window``: it would fail every edge's
+    seq-distance test and answer as singletons with no note."""
+    if window is not None and window < 0:
+        raise ValueError(f"window must not be negative, got {window}")
+
+
 def _decrement(counts: dict[str, int], key: str) -> None:
     left = counts[key] - 1
     if left:
@@ -135,6 +142,7 @@ class IncidentIndex:
     """
 
     def __init__(self, window: int | None = None):
+        check_window(window)
         self.window = window
         #: digest -> ingest seq (the window metric and sort key).
         self.seq: dict[str, int] = {}

@@ -413,7 +413,7 @@ def cmd_incidents(args: argparse.Namespace) -> int:
     window = {} if args.window is None else {"window": args.window}
     try:
         incidents, report = _ask(federation, "incidents", **window)
-    except ValueError as exc:  # a window over several vaults
+    except ValueError as exc:  # a negative window, or one over several vaults
         raise CommandError(f"--{exc}") from None
     if args.json:
         for incident in incidents:

@@ -12,7 +12,10 @@ compiled Python function:
 * **registers live in locals** for the duration of the run (loaded from
   ``thread.regs`` once, written back once at the exit);
 * **so do the memory's segment hit caches** (read and write, primary
-  and victim), so most loads and stores are an inline range check;
+  and victim, and the one-entry trace cache that probe traffic —
+  ``ORM``, ``STDAG``, ``BSENT`` — goes through, so the trace buffer
+  never evicts the guest's segments), so most loads and stores are an
+  inline range check;
 * **one clock/trace-counter update per unit** — ``machine.cycles``,
   ``process.cycles_used`` and ``thread.instructions`` are pre-charged
   with the unit's full instruction count in three additions;
@@ -23,7 +26,19 @@ compiled Python function:
   *after* register write-back and call the runtime methods the reference
   engine uses (``Machine._syscall``, ``Machine._do_call``, the import's
   host callable, ``Process.exit_normally``), so syscalls, host calls,
-  and the unwinder see ordinary architectural state.
+  and the unwinder see ordinary architectural state;
+* **inline probe helpers** — a unit ending in a ``CALL`` to code shaped
+  like the probe helper (``TLSLD r,s; ADDI r,r,1; BSENT r; TLSST r,s;
+  RET``, matched on the live decoded words) runs the helper's fast path
+  in its whole run: the return address is stored as ``CALL`` stores
+  it, ``r`` and TLS slot ``s`` get the bumped pointer, the five helper
+  instructions are charged, and the run lands on the return point.  It
+  leaves by the plain ``CALL`` (frame pushed, pc at the helper, whose
+  own units then run) when the new slot holds the sentinel or is not in
+  the trace cache, or the return-address store missed the write caches,
+  which hold only readable segments, so a hit proves ``RET``'s reload.
+  So the helper's own code runs on wraps, and a heavyweight probe no
+  longer costs the two unit dispatches of the helper's fast path.
 
 Every code word of a module belongs to exactly one unit, so the engine
 never dispatches instruction by instruction.  A unit can be entered at
@@ -47,22 +62,26 @@ differential suite in ``tests/vm/test_differential.py`` runs both
 engines against each other).  The subtle cases:
 
 * **faults inside a run** — every faultable operation passes its own
-  absolute pc to ``load``/``store``/``_div``, so the recovery path reads
-  the faulting index straight off ``VMFault.pc``: it writes the register
-  locals back (instructions *before* the fault completed; partial side
-  effects like ``PUSH``'s sp decrement persist, exactly as in the
-  reference engine), restores ``thread.pc`` to the faulting
-  instruction, and rolls the pre-charged counters back by the
+  absolute pc to its ``Memory`` slow path or ``_div``/``_mod``, so the
+  recovery path reads the faulting index straight off ``VMFault.pc``:
+  it writes the register locals back (instructions *before* the fault
+  completed; partial side effects like ``PUSH``'s sp decrement persist,
+  exactly as in the reference engine), restores ``thread.pc`` to the
+  faulting instruction, and rolls the pre-charged counters back by the
   instructions that never ran.  The faulting instruction itself stays
   charged.  Partial runs roll back the same way.
-* **slice boundaries** — a slice retires exactly its quantum, because a
-  unit that does not fit runs partially; replay's forced slices and
-  ``chunk=1`` breakpoint stepping land on exact instruction boundaries.
-  A merged slice runs a unit through a boundary only where the
-  scheduler would cross it: the unit ends by the slice's cycle horizon
-  and the boundary falls in its fused part, which charges one cycle per
-  instruction and runs no hooks.  It keeps counting quanta through the
-  unit, so it stops on the boundary a per-quantum run would stop on.
+* **slice boundaries** — a unit's table entry carries its *span*, the
+  most instructions its whole run can retire (its length, plus five for
+  an inlined probe call), and a whole run returns how many it retired.
+  A slice retires exactly its quantum, because a unit whose span does
+  not fit runs partially, and partial runs always keep the plain
+  ``CALL``; replay's forced slices and ``chunk=1`` breakpoint stepping
+  land on exact instruction boundaries.  A merged slice runs a unit
+  through a boundary only where the scheduler would cross it: the unit
+  ends by the slice's cycle horizon and the boundary falls in its fused
+  part or the inlined helper, which charge one cycle per instruction
+  and run no hooks.  It keeps counting quanta through the unit, so it
+  stops on the boundary a per-quantum run would stop on.
 * **code rewriting** — units are compiled from the *live* decode cache
   (``loaded.decoded``) and looked up by the code image it was decoded
   from, and ``LoadedModule.refresh_decode_cache`` drops the bound table,
@@ -83,9 +102,9 @@ from types import CodeType
 from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.cfg import build_all_cfgs
-from repro.isa.instructions import Instr, Op
+from repro.isa.instructions import SP, Instr, Op
 from repro.vm.errors import ExcCode, VMFault
-from repro.vm.thread import SIGRET_RA, TRAMPOLINE_RA, Frame
+from repro.vm.thread import SIGRET_RA, TLS_SLOTS, TRAMPOLINE_RA, Frame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vm.loader import LoadedModule
@@ -99,8 +118,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 MAX_UNIT = 20
 
 #: Most compiled units :data:`UNIT_CACHE` holds.  A unit's code objects
-#: retain about 7 KB, so the cache stays under ~15 MB; the largest
-#: benchmark workload (crash-triage) binds ~720 units.
+#: retain about 7.5 KB (crash-triage's set-up: 723 units, 5.4 MB), so
+#: the cache stays under ~16 MB; that workload is the largest binder.
 CACHE_UNITS = 2048
 
 _M = 0xFFFFFFFF
@@ -184,6 +203,7 @@ _WRITE_CACHES = (
     "    _wb, _we, _ww = _mem._write_hit",
     "    _vb, _ve, _vw = _mem._write_hit2",
 )
+_TRACE_CACHE = "    _tb, _te, _tw = _mem._trace_hit"
 
 
 def _load(dst: str, addr: str, pc: int, refresh: bool = True) -> list[str]:
@@ -205,17 +225,33 @@ def _load(dst: str, addr: str, pc: int, refresh: bool = True) -> list[str]:
 
 def _store(addr: str, value: str, slow: str, refresh: bool = True) -> list[str]:
     """``mem[addr] = value`` through the write hit caches, else the
-    ``slow`` Memory call (``_st``/``_om``); ``value`` may name the old
-    word as ``{w}``."""
+    ``slow`` line (a ``Memory.store`` call); lines indented by four
+    after these run on that slow path too."""
     lines = [
         f"if _wb <= {addr} < _we:",
-        f"    _ww[{addr} - _wb] = {value.format(w=f'_ww[{addr} - _wb]')}",
+        f"    _ww[{addr} - _wb] = {value}",
         f"elif _vb <= {addr} < _ve:",
-        f"    _vw[{addr} - _vb] = {value.format(w=f'_vw[{addr} - _vb]')}",
+        f"    _vw[{addr} - _vb] = {value}",
         "else:",
         f"    {slow}",
     ]
     return lines + list(_WRITE_CACHES) if refresh else lines
+
+
+def _trace(hit: str, addr: str, slow: str, refresh: bool = True) -> list[str]:
+    """``hit`` (naming the word at ``addr`` as ``{w}``) through the
+    unit's local copy of the memory's trace hit cache, else the ``slow``
+    trace call (``_tl``/``_ts``/``_to``), which faults exactly as
+    ``load``/``store``/``or_word`` do and refreshes the shared entry,
+    re-read into the locals.  The probe ops go this way, so the trace
+    buffer never evicts the guest's segments from the other caches."""
+    lines = [
+        f"if _tb <= {addr} < _te:",
+        f"    {hit.format(w=f'_tw[{addr} - _tb]')}",
+        "else:",
+        f"    {slow}",
+    ]
+    return lines + [_TRACE_CACHE] if refresh else lines
 
 
 def _emit_fused(instr: Instr, pc: int) -> tuple[list[str], set[int], set[int]]:
@@ -296,16 +332,16 @@ def _emit_fused(instr: Instr, pc: int) -> tuple[list[str], set[int], set[int]]:
     if op is Op.ORM:
         bits = imm & 0xFFFF
         return (
-            _store(
-                f"r{rd}", f"({{w}} | {bits}) & 4294967295",
-                f"_om(r{rd}, {bits}, {pc})",
+            _trace(
+                f"{{w}} = ({{w}} | {bits}) & 4294967295", f"r{rd}",
+                f"_to(r{rd}, {bits}, {pc})",
             ),
             {rd}, set(),
         )
     if op is Op.STDAG:
         header = 0x80000000 | ((imm & 0xFFFFF) << 11)
         return (
-            _store(f"r{rd}", str(header), f"_st(r{rd}, {header}, {pc})"),
+            _trace(f"{{w}} = {header}", f"r{rd}", f"_ts(r{rd}, {header}, {pc})"),
             {rd}, set(),
         )
     raise AssertionError(f"non-fusible op {op!r} in fused run")
@@ -318,37 +354,37 @@ _FAULTABLE = frozenset(
 )
 
 
-def _emit_terminator(instr: Instr, pc: int) -> tuple[list[str], set[int], bool]:
-    """Source lines for a unit's terminator, its register reads, and
-    whether the lines touch ``regs`` directly.  Every line runs after
-    register write-back; the ones that can fault or call out first set
-    ``thread.pc`` to the terminator, as the reference engine has it."""
+def _emit_terminator(instr: Instr, pc: int) -> tuple[list[str], set[int]]:
+    """Source lines for a unit's terminator and its register reads.
+    Every line runs after register write-back; the ones that can fault
+    or call out first set ``thread.pc`` to the terminator, as the
+    reference engine has it."""
     op, rd, rs, imm = instr.op, instr.rd, instr.rs, instr.imm
     nxt = pc + 1
     if op is Op.BR:
-        return [f"thread.pc = {nxt + imm}"], set(), False
+        return [f"thread.pc = {nxt + imm}"], set()
     if op is Op.BZ:
-        return [f"thread.pc = {nxt + imm} if r{rd} == 0 else {nxt}"], {rd}, False
+        return [f"thread.pc = {nxt + imm} if r{rd} == 0 else {nxt}"], {rd}
     if op is Op.BNZ:
-        return [f"thread.pc = {nxt + imm} if r{rd} != 0 else {nxt}"], {rd}, False
+        return [f"thread.pc = {nxt + imm} if r{rd} != 0 else {nxt}"], {rd}
     if op is Op.BEQ:
         return (
             [f"thread.pc = {nxt + imm} if r{rd} == r{rs} else {nxt}"],
-            {rd, rs}, False,
+            {rd, rs},
         )
     if op is Op.BNE:
         return (
             [f"thread.pc = {nxt + imm} if r{rd} != r{rs} else {nxt}"],
-            {rd, rs}, False,
+            {rd, rs},
         )
     if op is Op.BLT:
         cond = f"{_signed(f'r{rd}')} < {_signed(f'r{rs}')}"
-        return [f"thread.pc = {nxt + imm} if {cond} else {nxt}"], {rd, rs}, False
+        return [f"thread.pc = {nxt + imm} if {cond} else {nxt}"], {rd, rs}
     if op is Op.BGE:
         cond = f"{_signed(f'r{rd}')} >= {_signed(f'r{rs}')}"
-        return [f"thread.pc = {nxt + imm} if {cond} else {nxt}"], {rd, rs}, False
+        return [f"thread.pc = {nxt + imm} if {cond} else {nxt}"], {rd, rs}
     if op is Op.JMP:
-        return [f"thread.pc = r{rd}"], {rd}, False
+        return [f"thread.pc = r{rd}"], {rd}
     if op is Op.JTAB:
         # The table load may fault: thread.pc must already point at the
         # terminator, and the unit is fully charged (it is the last
@@ -359,19 +395,21 @@ def _emit_terminator(instr: Instr, pc: int) -> tuple[list[str], set[int], bool]:
                 f"_a = (r{rs} + r{rd}) & 4294967295",
                 *_load("thread.pc", "_a", pc, refresh=False),
             ],
-            {rd, rs}, False,
+            {rd, rs},
         )
     if op is Op.BSENT:
         return (
             [
                 f"thread.pc = {pc}",
-                *_load("_a", f"r{rd}", pc, refresh=False),
+                *_trace(
+                    "_a = {w}", f"r{rd}", f"_a = _tl(r{rd}, {pc})", refresh=False
+                ),
                 f"thread.pc = {nxt + imm} if _a == 4294967295 else {nxt}",
             ],
-            {rd}, False,
+            {rd},
         )
     if op is Op.THROW:
-        return [f"thread.pc = {pc}", f"raise _F(r{rd}, {pc}, 'THROW')"], {rd}, False
+        return [f"thread.pc = {pc}", f"raise _F(r{rd}, {pc}, 'THROW')"], {rd}
     if op is Op.CALL:
         # Mirrors Machine._do_call: sp moves before the store that may
         # fault (partial effect persists), the frame is pushed only on
@@ -387,12 +425,12 @@ def _emit_terminator(instr: Instr, pc: int) -> tuple[list[str], set[int], bool]:
                 f"_Fr(entry_pc={target}, return_pc={nxt}, entry_sp=_sp))",
                 f"thread.pc = {target}",
             ],
-            set(), True,
+            set(),
         )
     if op is Op.CALLR:
         return (
             [f"thread.pc = {pc}", f"machine._do_call(thread, _mem, r{rd}, {pc})"],
-            {rd}, False,
+            {rd},
         )
     if op is Op.CALLX:
         # The binding is per load (host callables are per process), so
@@ -408,7 +446,7 @@ def _emit_terminator(instr: Instr, pc: int) -> tuple[list[str], set[int], bool]:
                 "else:",
                 f"    machine._do_call(thread, _mem, _b, {pc})",
             ],
-            set(), False,
+            set(),
         )
     if op is Op.RET:
         return (
@@ -430,32 +468,110 @@ def _emit_terminator(instr: Instr, pc: int) -> tuple[list[str], set[int], bool]:
                 "else:",
                 "    thread.pc = _ra",
             ],
-            set(), True,
+            set(),
         )
     if op is Op.SYS:
         # Machine._syscall moves the pc past the SYS itself, unless the
         # call ended the thread or faulted.
         return (
             [f"thread.pc = {pc}", f"machine._syscall(thread, process, {imm})"],
-            set(), False,
+            set(),
         )
     if op is Op.HALT:
-        return [f"thread.pc = {pc}", "process.exit_normally(r0)"], {0}, False
+        return [f"thread.pc = {pc}", "process.exit_normally(r0)"], {0}
     raise AssertionError(f"no terminator emitter for {op!r}")
 
 
+#: Instructions of the probe helper's fast path (``TLSLD``, ``ADDI``,
+#: ``BSENT``, ``TLSST``, ``RET``), which an inlined probe call retires
+#: beside its own unit's.
+HELPER_FAST = 5
+
+
+def _probe_helper(decoded: list[Instr], call: int, code_base: int):
+    """``(r, s)`` when the ``CALL`` at offset ``call`` enters code shaped
+    like :func:`repro.instrument.probes.helper_body`'s fast path —
+    ``TLSLD r,s; ADDI r,r,1; BSENT r; TLSST r,s; RET`` — in the live
+    decoded words, else None.  ``r`` is not sp (which ``CALL`` and
+    ``RET`` move), ``s`` names a TLS slot, and the return address is no
+    sentinel ``RET`` would act on, so the fast path inlines exactly."""
+    at = call + 1 + decoded[call].imm
+    if not 0 <= at <= len(decoded) - HELPER_FAST or code_base + call + 1 in (
+        TRAMPOLINE_RA, SIGRET_RA
+    ):
+        return None
+    load, bump, check, save, ret = decoded[at : at + HELPER_FAST]
+    r, slot = load.rd, load.imm
+    if (
+        load.op is Op.TLSLD and r != SP and 0 <= slot < TLS_SLOTS
+        and bump.op is Op.ADDI and bump.rd == bump.rs == r and bump.imm == 1
+        and check.op is Op.BSENT and check.rd == r
+        and save.op is Op.TLSST and save.rd == r and save.imm == slot
+        and ret.op is Op.RET
+    ):
+        return r, slot
+    return None
+
+
+def _emit_probe_call(
+    instr: Instr, pc: int, helper: tuple[int, int], count: int
+) -> list[str]:
+    """A whole run's ``CALL`` to the probe helper, its fast path inline.
+
+    The return address is stored as ``CALL`` stores it.  When that store
+    hits a write cache (whose segments are readable too, so the helper's
+    ``RET`` reloads it without a fault) and the bumped trace pointer hits
+    the trace cache on a word that is not the sentinel, the helper's five
+    instructions retire here: ``r`` and TLS slot ``s`` hold the bumped
+    pointer, sp is back, and the run lands on the return point.  Else it
+    leaves by the plain ``CALL`` — frame pushed, pc at the helper, whose
+    own units then run: the wrap, a fault, or a trace buffer not cached
+    yet."""
+    r, slot = helper
+    nxt = pc + 1
+    target = nxt + instr.imm
+    return [
+        "_sp = (regs[12] - 1) & 4294967295",
+        "regs[12] = _sp",
+        *_store("_sp", str(nxt), f"thread.pc = {pc}", refresh=False),
+        f"    _st(_sp, {nxt}, {pc})",
+        "    _te = 0  # no cache proved the reload: take the plain CALL",
+        f"_a = (tls[{slot}] + 1) & 4294967295",
+        "if _tb <= _a < _te and _tw[_a - _tb] != 4294967295:",
+        f"    tls[{slot}] = regs[{r}] = _a",
+        "    regs[12] = (_sp + 1) & 4294967295",
+        f"    machine.cycles += {HELPER_FAST}",
+        f"    process.cycles_used += {HELPER_FAST}",
+        f"    thread.instructions += {HELPER_FAST}",
+        f"    thread.pc = {nxt}",
+        f"    return {count + HELPER_FAST}",
+        "thread.frames.append("
+        f"_Fr(entry_pc={target}, return_pc={nxt}, entry_sp=_sp))",
+        f"thread.pc = {target}",
+    ]
+
+
 #: A bound unit, shared by every table slot it covers: (module-relative
-#: start offset, instruction count, whole-run function
-#: ``fn(machine, thread)``, partial-run function
-#: ``fn(machine, thread, start, stop)`` or None for one-instruction
-#: units, which always run whole).
-Unit = tuple[int, int, Callable, "Callable | None"]
+#: start offset, instruction count, span — the most instructions its
+#: whole run can retire: the count, plus :data:`HELPER_FAST` for an
+#: inlined probe call —, whole-run function ``fn(machine, thread)``,
+#: which returns the instructions it retired, partial-run function
+#: ``fn(machine, thread, start, stop)`` or None for a span of one,
+#: which always runs whole).
+Unit = tuple[int, int, int, Callable, "Callable | None"]
 
 
-def _unit_source(offset: int, instrs: list[Instr], base_pc: int) -> str:
-    """Source of one unit's whole-run function (``_u<offset>``) and, for
-    units longer than one instruction, its partial-run function
-    (``_p<offset>``)."""
+def _unit_source(
+    offset: int,
+    instrs: list[Instr],
+    base_pc: int,
+    helper: tuple[int, int] | None = None,
+) -> str:
+    """Source of one unit's whole-run function (``_u<offset>``) and, when
+    that can retire more than one instruction, its partial-run function
+    (``_p<offset>``).  With a ``helper`` (:func:`_probe_helper`) the
+    whole run inlines the helper's fast path at its ``CALL``; partial
+    runs keep the plain ``CALL``."""
     count = len(instrs)
     fused = instrs if instrs[-1].op in FUSIBLE else instrs[:-1]
     term = instrs[-1] if len(fused) != count else None
@@ -463,37 +579,41 @@ def _unit_source(offset: int, instrs: list[Instr], base_pc: int) -> str:
     bodies: list[list[str]] = []
     touched: set[int] = set()
     writes: set[int] = set()
-    uses_tls = False
     faultable = False
     for k, instr in enumerate(fused):
         lines, r, w = _emit_fused(instr, base_pc + k)
         bodies.append(lines)
         touched |= r | w
         writes |= w
-        uses_tls = uses_tls or instr.op in (Op.TLSLD, Op.TLSST)
         faultable = faultable or instr.op in _FAULTABLE
-
-    term_lines: list[str] = []
-    term_regs = False
-    if term is not None:
-        term_lines, term_reads, term_regs = _emit_terminator(
-            term, base_pc + len(fused)
-        )
-        touched |= term_reads
-
-    # Every touched register is loaded, so the fault path can write all
-    # of them back whichever instruction faulted.
-    prologue = ["    process = thread.process"]
-    if touched or term_regs:
-        prologue.append("    regs = thread.regs")
-    if uses_tls:
-        prologue.append("    tls = thread.tls")
-    prologue.extend(f"    r{r} = regs[{r}]" for r in sorted(touched))
     flat = [line for lines in bodies for line in lines]
-    if any("_rb" in line for line in flat + term_lines):
-        prologue.extend(_READ_CACHES)
-    if any("_wb" in line for line in flat + term_lines):
-        prologue.extend(_WRITE_CACHES)
+
+    exit_part = exit_whole = [f"thread.pc = {base_pc + count}"]
+    if term is not None:
+        term_pc = base_pc + len(fused)
+        exit_part, term_reads = _emit_terminator(term, term_pc)
+        touched |= term_reads
+        exit_whole = exit_part
+        if helper is not None:
+            exit_whole = _emit_probe_call(term, term_pc, helper, count)
+
+    def prologue(lines: list[str]) -> list[str]:
+        """Load what ``lines`` use.  Every touched register is loaded,
+        so the fault path can write all of them back whichever
+        instruction faulted."""
+        out = ["    process = thread.process"]
+        if touched or any("regs[" in line for line in lines):
+            out.append("    regs = thread.regs")
+        if any("tls[" in line for line in lines):
+            out.append("    tls = thread.tls")
+        out.extend(f"    r{r} = regs[{r}]" for r in sorted(touched))
+        for marker, caches in (
+            ("_rb", _READ_CACHES), ("_wb", _WRITE_CACHES), ("_tb", [_TRACE_CACHE])
+        ):
+            if any(marker in line for line in lines):
+                out.extend(caches)
+        return out
+
     writeback = [f"regs[{r}] = r{r}" for r in sorted(writes)]
 
     def charged(n: str, body: list[str], last: str) -> list[str]:
@@ -520,14 +640,12 @@ def _unit_source(offset: int, instrs: list[Instr], base_pc: int) -> str:
         out.append("        raise")
         return out
 
-    src = [f"def _u{offset}(machine, thread):", *prologue]
+    src = [f"def _u{offset}(machine, thread):", *prologue(flat + exit_whole)]
     src += charged(str(count), flat, str(base_pc + count - 1))
     src.extend(f"    {line}" for line in writeback)
-    if term is None:
-        src.append(f"    thread.pc = {base_pc + count}")
-    else:
-        src.extend(f"    {line}" for line in term_lines)
-    if count == 1:
+    src.extend(f"    {line}" for line in exit_whole)
+    src.append(f"    return {count}")
+    if count == 1 and helper is None:
         return "\n".join(src)
 
     # The partial run executes instructions [s, e): each fused
@@ -536,11 +654,11 @@ def _unit_source(offset: int, instrs: list[Instr], base_pc: int) -> str:
     steps = ["while 1:"]
     for k, lines in enumerate(bodies):
         steps.append(f"    if s <= {k}:")
-        steps.extend(f"        {line}" for line in lines)
+        steps.extend(f"        {line}" for line in lines or ["pass"])
         if k < len(bodies) - 1:
             steps.append(f"        if e == {k + 1}: break")
     steps.append("    break")
-    src += ["", f"def _p{offset}(machine, thread, s, e):", *prologue]
+    src += ["", f"def _p{offset}(machine, thread, s, e):", *prologue(flat + exit_part)]
     src.append("    _n = e - s")
     src += charged("_n", steps, f"{base_pc - 1} + e")
     src.extend(f"    {line}" for line in writeback)
@@ -550,13 +668,14 @@ def _unit_source(offset: int, instrs: list[Instr], base_pc: int) -> str:
         src.append(f"    if e < {count}:")
         src.append(f"        thread.pc = {base_pc} + e")
         src.append("        return")
-        src.extend(f"    {line}" for line in term_lines)
+        src.extend(f"    {line}" for line in exit_part)
     return "\n".join(src)
 
 
 #: The compiled units of one code image, in code order: (offset,
-#: instruction count, the code object defining the unit's functions).
-Image = list[tuple[int, int, CodeType]]
+#: instruction count, span, the code object defining the unit's
+#: functions).
+Image = list[tuple[int, int, int, CodeType]]
 
 
 def _leaders(module) -> set[int]:
@@ -598,10 +717,15 @@ def _compile_image(loaded: "LoadedModule") -> Image:
                 or scan in leaders
             ):
                 break
+        helper = None
+        if decoded[scan - 1].op is Op.CALL:
+            helper = _probe_helper(decoded, scan - 1, loaded.code_base)
         source = _unit_source(
-            offset, decoded[offset:scan], loaded.code_base + offset
+            offset, decoded[offset:scan], loaded.code_base + offset, helper
         )
-        image.append((offset, scan - offset, compile(source, name, "exec")))
+        count = scan - offset
+        span = count if helper is None else count + HELPER_FAST
+        image.append((offset, count, span, compile(source, name, "exec")))
         offset = scan
     return image
 
@@ -665,17 +789,19 @@ def bind_units(loaded: "LoadedModule") -> list[Unit]:
         "_imports": loaded.import_bindings,
         "_ld": memory.load,
         "_st": memory.store,
-        "_om": memory.or_word,
+        "_tl": memory.trace_load,
+        "_ts": memory.trace_store,
+        "_to": memory.trace_or,
         "_div": _div,
         "_mod": _mod,
         "_F": VMFault,
         "_Fr": Frame,
     }
     table: list[Unit] = []
-    for off, count, code in image:
+    for off, count, span, code in image:
         exec(code, glb)
         # Popped, so the functions' globals do not refer back to them.
-        unit = (off, count, glb.pop(f"_u{off}"), glb.pop(f"_p{off}", None))
+        unit = (off, count, span, glb.pop(f"_u{off}"), glb.pop(f"_p{off}", None))
         table += [unit] * count
     loaded.block_table = table
     return table

@@ -550,9 +550,11 @@ class Machine:
         """The tier-3 hot loop: compiled-unit dispatch.
 
         Each iteration runs one compiled unit from the pc on: the whole
-        unit when the pc is its first instruction and it fits the
-        remaining quantum, else a partial run from the pc's index in the
-        unit up to the unit's end or the quantum's, whichever comes
+        unit when the pc is its first instruction and its span (the most
+        instructions its whole run can retire, an inlined probe call's
+        helper included) fits the remaining quantum, counting what the
+        run returns it retired, else a partial run from the pc's index in
+        the unit up to the unit's end or the quantum's, whichever comes
         first.  So a slice without a ``horizon`` retires exactly
         ``quantum`` instructions (unless the thread blocks, ends or
         faults), and replay's forced slices and ``chunk=1`` breakpoint
@@ -563,11 +565,13 @@ class Machine:
         the horizon, ``sched_epoch`` is where it was when the slice
         began, and no signal is pending.  A unit that straddles a
         boundary then runs to its end when its last instruction retires
-        by the horizon, since the boundary falls in its fused part, which
-        charges one cycle per instruction and runs no hooks.
-        ``remaining`` stays the count to the next boundary (modulo the
-        quantum: one unit can cross several), also after a fault, so
-        the slice ends on the boundary a per-quantum run would stop at.
+        by the horizon, since the boundary falls in its fused part or its
+        inlined helper, which charge one cycle per instruction and run no
+        hooks; the whole run is tried first, so a probe call crossing a
+        boundary keeps its helper inline.  ``remaining`` stays the count
+        to the next boundary (modulo the quantum: one unit can cross
+        several), also after a fault, so the slice ends on the boundary a
+        per-quantum run would stop at.
 
         The unit table covers every code word; it is bound lazily on
         first execution and re-read through the attribute every
@@ -610,13 +614,21 @@ class Machine:
                 if table is None:
                     table = bind_units(loaded)
                 offset = pc - code_base
-                start, count, whole, part = table[offset]
+                start, count, span, whole, part = table[offset]
                 before = thread.instructions
                 try:
-                    if offset == start and count <= remaining:
-                        whole(self, thread)
-                        remaining -= count
-                        continue
+                    if offset == start:
+                        if span <= remaining:
+                            remaining -= whole(self, thread)
+                            continue
+                        if (
+                            horizon is not None
+                            and self.cycles + span <= horizon
+                            and self.sched_epoch == epoch
+                            and not process.pending_signals
+                        ):  # straddles boundaries the slice would cross
+                            remaining = (remaining - whole(self, thread)) % quantum
+                            continue
                     k = offset - start
                     if k + remaining >= count:
                         part(self, thread, k, count)
@@ -630,10 +642,7 @@ class Machine:
                         part(self, thread, k, k + remaining)
                         remaining = 0
                     else:  # straddles boundaries the slice would cross
-                        if k:
-                            part(self, thread, k, count)
-                        else:
-                            whole(self, thread)
+                        part(self, thread, k, count)
                         remaining = (remaining - count + k) % quantum
                 except VMFault as fault:
                     remaining -= thread.instructions - before

@@ -98,7 +98,20 @@ class Memory:
         # ping-pong on).  Guest locality makes these hit almost always,
         # skipping the bisect + permission check.  Safe because a
         # segment's base, size, backing list, and permissions never
-        # change after construction; invalidated on map/unmap.
+        # change after construction; invalidated on map/unmap.  The
+        # write caches hold only segments that are readable too, so a
+        # write hit proves a reload of the same word cannot fault (a
+        # tier-3 unit's inlined probe call relies on it for the
+        # helper's ``RET``).
+        #
+        # Probe traffic has its own one-entry cache, ``_trace_hit``:
+        # tier-3 units send ``ORM``, ``STDAG``, ``BSENT`` and the
+        # inlined probe helper through it, so the trace buffer never
+        # evicts the guest's segments from the caches above.  One
+        # entry serves loads and stores, so only segments both readable
+        # and writable enter it, through ``trace_load``/``trace_store``/
+        # ``trace_or``, which fault exactly as ``load``/``store``/
+        # ``or_word`` do.
         #
         # The entries are per thread: they serve ``_cache_owner``, and
         # ``switch_caches`` parks them on the outgoing thread at a slice
@@ -111,6 +124,7 @@ class Memory:
         self._read_hit2: tuple[int, int, list[int] | None] = (1, 0, None)
         self._write_hit: tuple[int, int, list[int] | None] = (1, 0, None)
         self._write_hit2: tuple[int, int, list[int] | None] = (1, 0, None)
+        self._trace_hit: tuple[int, int, list[int] | None] = (1, 0, None)
         self._cache_owner: "Thread | None" = None
         self.generation = 0
 
@@ -141,6 +155,7 @@ class Memory:
     def _invalidate_caches(self) -> None:
         self._read_hit = self._read_hit2 = (1, 0, None)
         self._write_hit = self._write_hit2 = (1, 0, None)
+        self._trace_hit = (1, 0, None)
         self.generation += 1
 
     def switch_caches(self, thread: "Thread") -> None:
@@ -158,11 +173,13 @@ class Memory:
                 self.generation,
                 self._read_hit, self._read_hit2,
                 self._write_hit, self._write_hit2,
+                self._trace_hit,
             )
         parked = thread.hit_caches
         if parked is not None and parked[0] == self.generation:
             (_, self._read_hit, self._read_hit2,
-             self._write_hit, self._write_hit2) = parked
+             self._write_hit, self._write_hit2,
+             self._trace_hit) = parked
         self._cache_owner = thread
 
     def segment_at(self, addr: int) -> Segment | None:
@@ -216,8 +233,9 @@ class Memory:
         segment = self.segment_at(addr)
         if segment is None or not segment.writable:
             raise VMFault(ExcCode.ACCESS_VIOLATION, pc, f"write of {addr:#x}")
-        self._write_hit2 = self._write_hit
-        self._write_hit = (segment.base, segment.end, segment.words)
+        if segment.readable:
+            self._write_hit2 = self._write_hit
+            self._write_hit = (segment.base, segment.end, segment.words)
         segment.words[addr - segment.base] = value & WORD_MASK
 
     def or_word(self, addr: int, bits: int, pc: int = -1) -> None:
@@ -230,8 +248,39 @@ class Memory:
         segment = self.segment_at(addr)
         if segment is None or not segment.writable:
             raise VMFault(ExcCode.ACCESS_VIOLATION, pc, f"or-write of {addr:#x}")
-        self._write_hit2 = self._write_hit
-        self._write_hit = (segment.base, segment.end, segment.words)
+        if segment.readable:
+            self._write_hit2 = self._write_hit
+            self._write_hit = (segment.base, segment.end, segment.words)
+        index = addr - segment.base
+        segment.words[index] = (segment.words[index] | bits) & WORD_MASK
+
+    # The trace hit cache's slow paths: each faults as its general
+    # counterpart does, and caches only a readable and writable segment.
+    def trace_load(self, addr: int, pc: int = -1) -> int:
+        """``load`` through the trace hit cache's slow path."""
+        segment = self.segment_at(addr)
+        if segment is None or not segment.readable:
+            raise VMFault(ExcCode.ACCESS_VIOLATION, pc, f"read of {addr:#x}")
+        if segment.writable:
+            self._trace_hit = (segment.base, segment.end, segment.words)
+        return segment.words[addr - segment.base]
+
+    def trace_store(self, addr: int, value: int, pc: int = -1) -> None:
+        """``store`` through the trace hit cache's slow path."""
+        segment = self.segment_at(addr)
+        if segment is None or not segment.writable:
+            raise VMFault(ExcCode.ACCESS_VIOLATION, pc, f"write of {addr:#x}")
+        if segment.readable:
+            self._trace_hit = (segment.base, segment.end, segment.words)
+        segment.words[addr - segment.base] = value & WORD_MASK
+
+    def trace_or(self, addr: int, bits: int, pc: int = -1) -> None:
+        """``or_word`` through the trace hit cache's slow path."""
+        segment = self.segment_at(addr)
+        if segment is None or not segment.writable:
+            raise VMFault(ExcCode.ACCESS_VIOLATION, pc, f"or-write of {addr:#x}")
+        if segment.readable:
+            self._trace_hit = (segment.base, segment.end, segment.words)
         index = addr - segment.base
         segment.words[index] = (segment.words[index] | bits) & WORD_MASK
 

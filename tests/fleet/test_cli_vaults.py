@@ -102,6 +102,40 @@ def test_incidents_window_over_the_wire(demo_vault, capsys):
     assert run(capsys, *argv, "--remote") == local
 
 
+@pytest.mark.parametrize("wire", [[], ["--remote"]], ids=["local", "remote"])
+def test_negative_window_is_refused(demo_vault, capsys, wire):
+    """A negative window fails every edge's seq-distance test, so it
+    would list the three-machine incident as singletons; local and
+    served vaults refuse it with the same line."""
+    assert "1 incident(s)" in run(
+        capsys, "incidents", "--vault", demo_vault, *wire, "--list"
+    )
+    argv = ["incidents", "--vault", demo_vault, *wire, "--window", "-1", "--list"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--window must not be negative, got -1" in captured.err
+
+
+def test_negative_window_is_refused_by_the_library(demo_vault):
+    """Library callers meet the same refusal: the index, a vault's link
+    window, a listing's window and the wire's window argument."""
+    from repro.fleet.index import IncidentIndex
+    from repro.fleet.remote import PROTOCOL, VaultService
+
+    message = "window must not be negative, got -3"
+    with pytest.raises(ValueError, match=message):
+        IncidentIndex(window=-3)
+    with pytest.raises(ValueError, match=message):
+        VaultQuery(SnapVault(demo_vault)).incidents(window=-3)
+    with pytest.raises(ValueError, match=message):
+        SnapVault(demo_vault, link_window=-3)
+    reply = VaultService(SnapVault(demo_vault)).handle(
+        {"proto": PROTOCOL, "op": "incidents", "args": {"window": -3}}
+    )
+    assert not reply["ok"] and message in reply["error"]
+
+
 def test_replay_resolves_through_the_same_path(demo_vault, capsys):
     entry = SnapVault(demo_vault).select(machine="machine-a")[0]
     for wire in ([], ["--remote"]):

@@ -115,14 +115,17 @@ def test_block_table_built_lazily_on_first_run():
     table = loaded.block_table
     assert len(table) == len(loaded.decoded)
     # Every code offset maps to the unit covering it; the unit's start
-    # and length place the offset at an index inside it.
+    # and length place the offset at an index inside it.  The program is
+    # not instrumented, so no unit inlines a probe call: every span is
+    # the unit's own length.
     for offset, unit in enumerate(table):
-        start, count, whole, part = unit
+        start, count, span, whole, part = unit
         assert start <= offset < start + count <= len(table)
         assert 1 <= count <= blocks.MAX_UNIT
+        assert span == count
         assert table[start] is unit
         assert callable(whole)
-        assert (part is None) == (count == 1)
+        assert (part is None) == (span == 1)
 
 
 def test_block_engine_matches_reference_output():
@@ -427,8 +430,8 @@ def test_second_load_of_an_image_compiles_nothing(cache, monkeypatch):
     assert (cache.misses, cache.hits) == (1, 1)
     assert first.output == second.output == ["42"]
     # Same code objects, bound to each load's own memory.
-    whole1 = loaded1.block_table[0][2]
-    whole2 = loaded2.block_table[0][2]
+    whole1 = loaded1.block_table[0][3]
+    whole2 = loaded2.block_table[0][3]
     assert whole1 is not whole2
     assert whole1.__code__ is whole2.__code__
     assert whole1.__globals__["_mem"] is first.memory

@@ -200,19 +200,26 @@ def test_run_thread_slice_of_zero_runs_only_the_prologue():
 # What a lone thread's laps cost
 # ----------------------------------------------------------------------
 def _count_partial_runs(loaded, counts):
-    """Rebind ``loaded``'s unit table with counting partial runs."""
+    """Rebind ``loaded``'s unit table with counting partial runs:
+    ``partial`` counts the runs that split a unit, ``plain`` those that
+    run all of a unit whose whole run would inline a probe call, keeping
+    the plain ``CALL`` because the helper's instructions did not fit."""
     wrapped = {}
 
     def counting(unit):
-        start, count, whole, part = unit
+        start, count, span, whole, part = unit
         if part is None:
             return unit
 
         def counted_part(machine, thread, s, e):
-            counts["partial"] += 1
-            return part(machine, thread, s, e)
+            if s or e < count:
+                counts["partial"] += 1
+            else:
+                assert span > count, "a plain unit ran partially"
+                counts["plain"] += 1
+            part(machine, thread, s, e)
 
-        return (start, count, whole, counted_part)
+        return (start, count, span, whole, counted_part)
 
     table = [
         wrapped.setdefault(id(unit), counting(unit)) for unit in bind_units(loaded)
@@ -240,10 +247,12 @@ def slice_entries(monkeypatch):
 def test_lone_thread_laps_enter_one_slice_each(slice_entries):
     """An instrumented kernel in 100,000-cycle laps: one slice per lap,
     and at most two partial runs (one resumes the unit the last lap
-    stopped in, one stops in a unit on the lap's boundary).  With one
-    slice per quantum, each lap entered about 2,450 slices and made
-    about 4,000 partial runs."""
-    counts = {"partial": 0}
+    stopped in, one stops in a unit on the lap's boundary).  A probe
+    call whose helper straddles that boundary runs its unit with the
+    plain ``CALL``, at most once per lap.  With one slice per quantum,
+    each lap entered about 2,450 slices and made about 4,000 partial
+    runs."""
+    counts = {"partial": 0, "plain": 0}
     machine = Machine()
     process = machine.create_process("gap")
     TraceBackRuntime(process, RuntimeConfig())
@@ -254,14 +263,21 @@ def test_lone_thread_laps_enter_one_slice_each(slice_entries):
     status, target = "limit", 0
     while status == "limit":
         target += 100_000
-        entries, partial = len(slice_entries), counts["partial"]
+        entries, partial, plain = (
+            len(slice_entries), counts["partial"], counts["plain"]
+        )
         status = machine.run(max_cycles=target)
-        laps.append((len(slice_entries) - entries, counts["partial"] - partial))
+        laps.append((
+            len(slice_entries) - entries,
+            counts["partial"] - partial,
+            counts["plain"] - plain,
+        ))
     assert status == "done"
     assert loaded.block_table is table  # the counting table ran throughout
     assert len(laps) > 10
-    assert all(entries == 1 for entries, _ in laps), laps
-    assert all(partial <= 2 for _, partial in laps), laps
+    assert all(entries == 1 for entries, _, _ in laps), laps
+    assert all(partial <= 2 for _, partial, _ in laps), laps
+    assert all(plain <= 1 for _, _, plain in laps), laps
 
 
 TWO_SPINNERS = """

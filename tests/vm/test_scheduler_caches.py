@@ -2,7 +2,7 @@
 caches: what they save, and that saved state never outlives what it
 describes.
 
-* Each thread gets its own set of the memory's four hit-cache entries
+* Each thread gets its own set of the memory's hit-cache entries
   back when it is switched in — unless a segment was mapped or unmapped
   while it was away, in which case it must see the new address space at
   once: an unmapped segment faults exactly as on the reference engine,
