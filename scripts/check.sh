@@ -8,8 +8,8 @@
 # >25% regression (benchmarks/_harness.py).
 #
 #   scripts/check.sh test-fast   default lane: everything not marked slow
-#                                (the tier-1 gate: 1545 tests, 41 s,
-#                                42 s wall on a 2-core host)
+#                                (the tier-1 gate: 1569 tests, 33 s,
+#                                33 s wall on a 2-core host)
 #   scripts/check.sh test-all    full lane: fast tests + slow tests +
 #                                every paper-table benchmark
 #   scripts/check.sh chaos       fault-injection suite: every chaos
@@ -29,9 +29,16 @@
 #                                signature/bucket/report unit tests, the
 #                                cross-seed differential against chaos
 #                                ground truth (precision == 1.0), the
-#                                signature-stability fuzz sweep, and the
-#                                golden report regression (all slow
-#                                lanes included)
+#                                signature-stability fuzz sweep, the
+#                                golden report regression, the oracle
+#                                differential (the faulting-span signer
+#                                against full salvage reconstruction:
+#                                62 crashers, a multi-thread catcher at
+#                                20 stages, fuzz seeds 0-299, every chaos
+#                                scenario at seeds 0-2) and the one-
+#                                recovery test (each store path recovers
+#                                a fresh snap once) (all slow lanes
+#                                included)
 #   scripts/check.sh remote      remote-query + federation subsystem:
 #                                the wire-protocol/client tests, the
 #                                federated scatter-gather tests, the
@@ -142,7 +149,9 @@ case "${1:-test-fast}" in
     exec python -m pytest -q tests/fleet/test_triage.py \
       tests/fleet/test_triage_differential.py \
       tests/fleet/test_signature_stability.py \
-      tests/fleet/test_triage_golden.py -m "slow or not slow"
+      tests/fleet/test_triage_golden.py \
+      tests/fleet/test_signature_oracle.py \
+      tests/fleet/test_one_recovery.py -m "slow or not slow"
     ;;
   remote)
     python -m pytest -q tests/fleet/test_remote.py \

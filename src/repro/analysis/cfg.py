@@ -72,13 +72,6 @@ class CFG:
         """Block starts in ascending code order."""
         return sorted(self.blocks)
 
-    def block_at(self, offset: int) -> BasicBlock | None:
-        """The block containing code ``offset``, or ``None``."""
-        for start, block in self.blocks.items():
-            if start <= offset < block.end:
-                return block
-        return None
-
     def reverse_postorder(self) -> list[int]:
         """Blocks in reverse postorder from all entries (forward
         dataflow order; unreachable blocks appended at the end)."""

@@ -189,14 +189,3 @@ class DistributedSession:
             collector=self.collector,
             collectors=list(self.collectors),
         )
-
-    def close_collectors(self) -> None:
-        """Deterministically shut down every attached collector.
-
-        Each collector flushes what it can and dead-letters the rest
-        (see :meth:`~repro.fleet.collector.Collector.close`), so after
-        this returns every submitted snap is either in the vault or in
-        a dead-letter list — never silently in a dropped queue.
-        """
-        for collector in self.collectors:
-            collector.close()

@@ -48,6 +48,7 @@ class FleetMetrics:
     sync_coalesced: int = 0  # batches made durable by another's sync
     index_rebuilds: int = 0
     signatures_mined: int = 0  # stored snaps that yielded a crash signature
+    mapfiles_skipped: int = 0  # stored mapfiles that did not load, per parse
 
     # -- retention / compaction (the GC pass) ---------------------------
     compactions: int = 0  # compact() passes that ran to completion
@@ -161,6 +162,7 @@ class FleetMetrics:
         )
         lines.append(
             f"  triage: {self.signatures_mined} signatures mined, "
+            f"{self.mapfiles_skipped} mapfiles skipped, "
             f"{self.top_queries} top queries, "
             f"{self.reports_rendered} reports"
         )

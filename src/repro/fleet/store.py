@@ -25,9 +25,10 @@ them.  This module is that central point's disk format:
 Concurrency model (the multi-collector ingest pipeline):
 
 * the CPU-heavy per-snap work — canonical-JSON digest, TBSZ2
-  compression, SYNC-id salvage mining — lives in :func:`prepare_snap`,
-  which each collector runs on its own thread, outside every vault
-  lock;
+  compression, and one salvage span recovery that both the SYNC ids
+  and the crash signature are mined from — lives in
+  :func:`prepare_snap`, which each collector runs on its own thread,
+  outside every vault lock;
 * one **index lock** serializes dedupe checks, sequence assignment,
   and incident-index maintenance (so incident edges are applied in
   ingest-sequence order even under concurrent collectors);
@@ -79,7 +80,8 @@ from dataclasses import dataclass, field
 
 from repro.fleet.metrics import FleetMetrics
 from repro.instrument.mapfile import Mapfile
-from repro.reconstruct.recovery import recover_spans_salvage
+from repro.reconstruct.recovery import RecoveryResult, recover_spans_salvage
+from repro.reconstruct.signature import snap_signature
 from repro.runtime.archive import (
     compress_snap,
     decompress_snap,
@@ -142,20 +144,29 @@ def content_digest(snap: SnapFile) -> str:
     return hashlib.sha256(canonical).hexdigest()[:32]
 
 
-def mine_sync_ids(snap: SnapFile) -> list[int]:
+def recover_snap(snap: SnapFile) -> RecoveryResult:
+    """The salvage span recovery of ``snap``, which ingest mines both
+    its SYNC ids and its crash signature from.  Never raises: evidence
+    that cannot be recovered recovers nothing."""
+    try:
+        return recover_spans_salvage(snap.buffers)
+    except Exception:  # noqa: BLE001 — mining is best-effort metadata
+        return RecoveryResult()
+
+
+def mine_sync_ids(
+    snap: SnapFile, recovered: RecoveryResult | None = None
+) -> list[int]:
     """Logical-thread ids of every SYNC record surviving in ``snap``.
 
-    Mined with the salvage span recovery (never raises on damage), so
-    incident grouping works even for snaps whose buffers are hurt.
+    Mined from the salvage span recovery (never raises on damage), so
+    incident grouping works even for snaps whose buffers are hurt;
+    ``recovered`` is that recovery when the caller already made it.
     These ids are what link one machine's snap to its RPC partners'.
     """
-    if not snap.buffers:
-        return []
+    if recovered is None:
+        recovered = recover_snap(snap)
     ids: set[int] = set()
-    try:
-        recovered = recover_spans_salvage(snap.buffers)
-    except Exception:  # noqa: BLE001 — mining is best-effort metadata
-        return []
     for span in recovered.spans:
         for record in span.records:
             if isinstance(record, ExtRecord) and record.kind == ExtKind.SYNC:
@@ -217,7 +228,7 @@ class VaultEntry:
         seq: int,
         shard: int,
         size: int,
-        sync_ids: list[int] | None = None,
+        sync_ids: list[int],
         sig: str | None = None,
     ) -> "VaultEntry":
         detail = snap.detail if isinstance(snap.detail, dict) else {}
@@ -231,7 +242,7 @@ class VaultEntry:
             reason=snap.reason,
             clock=snap.clock,
             size=size,
-            sync_ids=mine_sync_ids(snap) if sync_ids is None else sync_ids,
+            sync_ids=sync_ids,
             group=detail.get("group"),
             initiator=detail.get("initiator"),
             initiator_reason=detail.get("initiator_reason"),
@@ -257,7 +268,8 @@ class PreparedSnap:
     :meth:`SnapVault.put_batch`; the vault's commit then only touches
     disk and dictionaries.  ``data is None`` marks an early dedupe: the
     digest was already known when preparation ran, so compression and
-    SYNC mining were skipped.
+    mining were skipped.  :meth:`ensure_sync_ids` keeps the snap's one
+    span recovery for :meth:`ensure_sig`, which drops it.
     """
 
     snap: SnapFile
@@ -269,10 +281,15 @@ class PreparedSnap:
     #: "mined, and there is none" from "not mined yet".
     sig: str | None = None
     sig_mined: bool = False
+    #: The span recovery the signature is still to be mined from.
+    recovered: RecoveryResult | None = field(default=None, repr=False)
 
     def ensure_sync_ids(self) -> list[int]:
         if self.sync_ids is None:
-            self.sync_ids = mine_sync_ids(self.snap)
+            recovered = recover_snap(self.snap)
+            self.sync_ids = mine_sync_ids(self.snap, recovered)
+            if not self.sig_mined:
+                self.recovered = recovered
         return self.sync_ids
 
     def ensure_data(self, compress_level: int) -> bytes:
@@ -281,9 +298,14 @@ class PreparedSnap:
         return self.data
 
     def ensure_sig(self, signer) -> str | None:
+        """Mine the signature once with ``signer``, a ``(snap,
+        recovered) -> str | None`` such as :meth:`SnapVault.sign`;
+        ``recovered`` is None unless :meth:`ensure_sync_ids` made it."""
         if not self.sig_mined:
-            self.sig = signer(self.snap) if signer is not None else None
+            if signer is not None:
+                self.sig = signer(self.snap, self.recovered)
             self.sig_mined = True
+            self.recovered = None
         return self.sig
 
 
@@ -302,20 +324,18 @@ def prepare_snap(
     re-checks under its lock, so a stale verdict only costs work,
     never correctness.
 
-    ``signer`` is an optional ``snap -> str | None`` (typically
-    :meth:`SnapVault.sign`) mining the crash signature here, on the
-    collector's thread, instead of under the vault's index lock at
-    commit.
+    ``signer`` is an optional ``(snap, recovered) -> str | None``
+    (typically :meth:`SnapVault.sign`) mining the crash signature here,
+    from the span recovery the SYNC ids came from, on the collector's
+    thread instead of under the vault's index lock at commit.
     """
     digest = content_digest(snap)
     if known is not None and known(digest):
         return PreparedSnap(snap=snap, digest=digest, early_deduped=True)
     prepared = PreparedSnap(
-        snap=snap,
-        digest=digest,
-        sync_ids=mine_sync_ids(snap),
-        data=compress_snap(snap, compress_level),
+        snap=snap, digest=digest, data=compress_snap(snap, compress_level)
     )
+    prepared.ensure_sync_ids()
     if signer is not None:
         prepared.ensure_sig(signer)
     return prepared
@@ -614,9 +634,11 @@ class SnapVault:
                     snap, _notes = salvage_decompress(data)
                     if snap is None:
                         continue
+                    recovery = recover_snap(snap)
                     entry = VaultEntry.from_snap(
                         snap, digest, seq=self._next_seq, shard=shard,
-                        size=len(data), sig=self.sign(snap),
+                        size=len(data), sync_ids=mine_sync_ids(snap, recovery),
+                        sig=self.sign(snap, recovery),
                     )
                     self._next_seq += 1
                     self.index[entry.digest] = entry
@@ -653,11 +675,6 @@ class SnapVault:
         with self._lock:
             if source not in self._pin_sources:
                 self._pin_sources.append(source)
-
-    def remove_pin_source(self, source) -> None:
-        with self._lock:
-            if source in self._pin_sources:
-                self._pin_sources.remove(source)
 
     def _invalidate_incident_checkpoint(self) -> None:
         """Drop ``incidents.idx`` before mutating what it summarizes."""
@@ -866,40 +883,29 @@ class SnapVault:
                         self.metrics.early_dedupe_hits += 1
                     results[pos] = StoreResult(digest, True, entry)
                     continue
-                if digest in self._blob_digests:
-                    # Orphan blob: it landed durably but its manifest
-                    # line was lost (kill between blob and manifest).
-                    # Heal: re-register it instead of re-storing.
-                    entry = VaultEntry.from_snap(
-                        item.snap,
-                        digest,
-                        seq=self._next_seq,
-                        shard=self.shard_of(digest),
-                        size=os.path.getsize(self.blob_path(digest)),
-                        sync_ids=item.ensure_sync_ids(),
-                        sig=item.ensure_sig(self.sign),
-                    )
-                    self._next_seq += 1
-                    self._register(entry, staged)
-                    healed.append(entry)
-                    self.metrics.dedupe_hits += 1
-                    self.metrics.manifest_heals += 1
-                    results[pos] = StoreResult(digest, True, entry)
-                    continue
-                data = item.ensure_data(self.compress_level)
+                # Orphan blob: it landed durably but its manifest line
+                # was lost (kill between blob and manifest).  Heal:
+                # re-register it instead of re-storing.
+                orphan = digest in self._blob_digests
                 entry = VaultEntry.from_snap(
                     item.snap,
                     digest,
                     seq=self._next_seq,
                     shard=self.shard_of(digest),
-                    size=len(data),
+                    size=os.path.getsize(self.blob_path(digest)) if orphan
+                    else len(item.ensure_data(self.compress_level)),
                     sync_ids=item.ensure_sync_ids(),
                     sig=item.ensure_sig(self.sign),
                 )
                 self._next_seq += 1
                 self._register(entry, staged)
-                fresh.append((pos, item, entry))
-                results[pos] = StoreResult(digest, False, entry)
+                results[pos] = StoreResult(digest, orphan, entry)
+                if orphan:
+                    healed.append(entry)
+                    self.metrics.dedupe_hits += 1
+                    self.metrics.manifest_heals += 1
+                else:
+                    fresh.append((pos, item, entry))
 
         group_commit = self.durability == "batch" and len(fresh) > 1
         written = 0
@@ -1060,7 +1066,9 @@ class SnapVault:
         Parsed copies are cached against the directory listing —
         signature mining resolves frames through mapfiles on every
         ingest, and re-parsing per snap would put JSON decoding on the
-        hot path.
+        hot path.  A file that does not load (unreadable, not JSON, or
+        not a mapfile's shape) is skipped, counted in
+        ``metrics.mapfiles_skipped`` each time the listing is parsed.
         """
         directory = os.path.join(self.root, MAPFILE_DIR)
         names = tuple(
@@ -1072,9 +1080,13 @@ class SnapVault:
         )
         cache = self._mapfile_cache
         if cache is None or cache[0] != names:
-            loaded = [
-                Mapfile.load(os.path.join(directory, name)) for name in names
-            ]
+            loaded = []
+            for name in names:
+                try:
+                    loaded.append(Mapfile.load(os.path.join(directory, name)))
+                except (OSError, ValueError, LookupError, TypeError,
+                        AttributeError):
+                    self.metrics.bump(mapfiles_skipped=1)
             cache = (names, loaded)
             self._mapfile_cache = cache
         return list(cache[1])
@@ -1082,15 +1094,16 @@ class SnapVault:
     # ------------------------------------------------------------------
     # Crash-signature mining (triage metadata)
     # ------------------------------------------------------------------
-    def sign(self, snap: SnapFile) -> str | None:
+    def sign(
+        self, snap: SnapFile, recovered: RecoveryResult | None = None
+    ) -> str | None:
         """Mine the crash signature of one snap — best-effort metadata.
 
         Resolves frames through the vault's stored mapfiles (they are
         uploaded at session attach time, before any snap arrives) and
         never raises; non-fault snaps and unminable evidence yield
-        None.  A pure function of (snap content, stored mapfiles), so
+        None (``recovered``: the snap's :func:`recover_snap`, when
+        made).  A pure function of (snap content, stored mapfiles), so
         :meth:`rebuild_index` re-derives identical signatures.
         """
-        from repro.reconstruct.signature import snap_signature
-
-        return snap_signature(snap, self.mapfiles())
+        return snap_signature(snap, self.mapfiles(), recovered)

@@ -77,13 +77,6 @@ class DagMap:
     #: not part of the DAG's identity.
     _decode_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def block_by_id(self, block_id: int) -> BlockMap | None:
-        """Find a member block by id."""
-        for block in self.blocks:
-            if block.id == block_id:
-                return block
-        return None
-
     def _plan(self) -> DagPlan:
         plan = DagPlan(index=self.index, entry=self.entry)
         for block in self.blocks:

@@ -70,10 +70,6 @@ class TilingPlan:
     #: block start -> its DagPlan index
     dag_of: dict[int, int]
 
-    def dag_for_block(self, block: int) -> DagPlan:
-        """The DAG containing ``block``."""
-        return self.dags[self.dag_of[block]]
-
 
 def required_headers(cfg: CFG) -> set[int]:
     """Block starts that must carry heavyweight probes."""

@@ -293,14 +293,6 @@ class Instr:
         """Whether this instruction terminates a basic block."""
         return self.op in BLOCK_ENDERS
 
-    def is_call(self) -> bool:
-        """Whether this instruction is a call (control returns after it)."""
-        return self.op in CALLS
-
-    def is_conditional(self) -> bool:
-        """Whether this instruction is a two-way conditional branch."""
-        return self.op in CONDITIONAL_BRANCHES
-
     def with_imm(self, imm: int) -> "Instr":
         """Return a copy of this instruction with a different immediate."""
         return Instr(self.op, self.rd, self.rs, self.rt, imm)

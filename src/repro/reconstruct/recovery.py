@@ -306,10 +306,9 @@ def recover_spans_salvage(dumps: list[BufferDump]) -> RecoveryResult:
         if dump.flags & BufferFlags.PROBATION:
             continue
         if dump.flags & BufferFlags.SHARED:
-            used = any(
-                w not in (0, 0xFFFFFFFF) for w in dump.words[HEADER_WORDS:]
-            )
-            if used:
+            # Used unless every data word is still 0 or all-ones.
+            data = dump.words[HEADER_WORDS:]
+            if data.count(0) + data.count(0xFFFFFFFF) != len(data):
                 report = SalvageReport(buffer_index=dump.index)
                 report.note(
                     REASON_SHARED,

@@ -43,10 +43,6 @@ class Reconstructor:
     def __init__(self, mapfiles: list[Mapfile]):
         self.mapfiles = list(mapfiles)
 
-    def add_mapfile(self, mapfile: Mapfile) -> None:
-        """Register another module's mapfile."""
-        self.mapfiles.append(mapfile)
-
     # ------------------------------------------------------------------
     def reconstruct(self, snap: SnapFile, strict: bool = True) -> ProcessTrace:
         """One snap -> per-thread line traces with call depths.

@@ -3,8 +3,10 @@
 At fleet scale a diagnosis per incident is useless until identical
 faults collapse into ranked buckets — the "top crashers" view every
 real crash pipeline converges on.  This module mines the signature
-those buckets are keyed by, from exactly the evidence reconstruction
-already produces:
+those buckets are keyed by.  Ingest mines it from the records it
+already recovered (§4.1), expanding only the faulting thread's span
+(§4.2); :func:`signature_of_trace` mines the same one from a whole
+reconstruction.  It has two halves:
 
 * the **normalized fault reason** — the snap reason plus the exception
   code *name* (never the raw pc), ``signal:<n>`` for signal snaps,
@@ -34,7 +36,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repro.reconstruct.expand import ModuleIndex, expand_span
 from repro.reconstruct.model import LineStep, ProcessTrace, ThreadTrace
+from repro.reconstruct.recovery import recover_spans_salvage
+from repro.runtime.records import ExtKind, ExtRecord
 from repro.vm.errors import ExcCode
 
 #: Snap reasons that describe a fault (and therefore carry a signature).
@@ -181,6 +186,39 @@ def _faulting_thread(trace: ProcessTrace) -> ThreadTrace | None:
     return with_lines[-1] if with_lines else None
 
 
+def _faulting_span_thread(snap, mapfiles, spans) -> ThreadTrace | None:
+    """The faulting thread of a snap, expanded alone from its span.
+
+    :func:`_faulting_thread`'s rule, read off the recovered spans: the
+    last span holding an EXCEPTION record (which expands to an
+    ``exception`` event) wins, else the last span whose expansion has
+    a line.  A span that fails to expand is skipped, as salvage
+    reconstruction skips it.
+    """
+    index = ModuleIndex.build(snap, mapfiles)
+
+    def expand(span) -> ThreadTrace | None:
+        try:
+            return expand_span(span, index, snap)
+        except Exception:  # noqa: BLE001 — salvage skips the span
+            return None
+
+    quiet = []  # spans with no EXCEPTION record, newest first
+    for span in reversed(spans):
+        if not any(
+            isinstance(record, ExtRecord) and record.kind == ExtKind.EXCEPTION
+            for record in reversed(span.records)
+        ):
+            quiet.append(span)
+        elif (thread := expand(span)) is not None:
+            return thread
+    for span in quiet:
+        thread = expand(span)
+        if thread is not None and thread.line_steps():
+            return thread
+    return None
+
+
 def signature_of_trace(trace: ProcessTrace) -> CrashSignature | None:
     """Mine the signature from one reconstructed process trace.
 
@@ -193,7 +231,13 @@ def signature_of_trace(trace: ProcessTrace) -> CrashSignature | None:
     reason = normalize_reason(trace.reason, trace.detail)
     if reason is None:
         return None
-    thread = _faulting_thread(trace)
+    return _signature_of_thread(reason, _faulting_thread(trace))
+
+
+def _signature_of_thread(
+    reason: str, thread: ThreadTrace | None
+) -> CrashSignature | None:
+    """The signature of a fault of class ``reason`` in ``thread``."""
     if thread is None:
         return None
 
@@ -239,20 +283,24 @@ def signature_of_trace(trace: ProcessTrace) -> CrashSignature | None:
     return CrashSignature(reason=reason, frames=tuple(frames))
 
 
-def snap_signature(snap, mapfiles) -> str | None:
+def snap_signature(snap, mapfiles, recovered=None) -> str | None:
     """Rendered signature of one snap, or None — never raises.
 
-    Mined with salvage reconstruction (like SYNC-id mining: best-effort
-    metadata), so a damaged snap yields whatever signature its
-    surviving tail supports.
+    Mined from the salvage span recovery (like SYNC-id mining:
+    best-effort metadata; ``recovered`` when the caller already made
+    it), so a damaged snap yields whatever signature its surviving
+    tail supports: :func:`signature_of_trace` of its salvage
+    reconstruction, with only the faulting span expanded.
     """
     if snap.reason not in FAULT_REASONS:
         return None
-    from repro.reconstruct.session import Reconstructor
-
     try:
-        trace = Reconstructor(mapfiles).reconstruct(snap, strict=False)
-        signature = signature_of_trace(trace)
+        if recovered is None:
+            recovered = recover_spans_salvage(snap.buffers)
+        signature = _signature_of_thread(
+            normalize_reason(snap.reason, snap.detail),
+            _faulting_span_thread(snap, mapfiles, recovered.spans),
+        )
     except Exception:  # noqa: BLE001 — mining is best-effort metadata
         return None
     return signature.render() if signature is not None else None

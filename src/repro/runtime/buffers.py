@@ -133,10 +133,6 @@ class TraceBuffer:
         """Relative word index -> guest address."""
         return self.base + rel
 
-    def first_slot_addr(self) -> int:
-        """Guest address of the first record slot (sub-buffer 0)."""
-        return self.to_addr(self.sub_start(0))
-
     @property
     def end_addr(self) -> int:
         """One past the buffer's last guest address."""

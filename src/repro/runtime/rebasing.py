@@ -164,14 +164,6 @@ class DagAllocator:
                 new_id = instr.imm - default + new_base
             code_seg.words[offset] = encode(instr.with_imm(new_id))
 
-    # ------------------------------------------------------------------
-    def range_for_id(self, dag_id: int) -> DagRange | None:
-        """The assigned range containing ``dag_id``, or None."""
-        for rng in self.by_checksum.values():
-            if not rng.bad and rng.contains(dag_id):
-                return rng
-        return None
-
 
 def rewrite_tls_slots(
     loaded: LoadedModule,

@@ -107,10 +107,6 @@ class Loader:
         """
         self._host_functions[name] = fn
 
-    def host_function(self, name: str) -> Callable | None:
-        """Look up a registered host function."""
-        return self._host_functions.get(name)
-
     # ------------------------------------------------------------------
     def load(self, module: Module, on_loaded: Callable | None = None) -> LoadedModule:
         """Map ``module`` into memory and bind its imports.

@@ -63,13 +63,6 @@ class Frame:
     entry_sp: int
 
 
-@dataclass
-class PendingSignal:
-    """A signal queued for delivery at the next scheduling point."""
-
-    signum: int
-
-
 class Thread:
     """One guest thread."""
 

@@ -200,7 +200,7 @@ class SigVault(SnapVault):
     """Signs a snap by the ``sig`` its detail carries (synthetic faults
     stand in for mined signatures, so buckets are seeded directly)."""
 
-    def sign(self, snap):
+    def sign(self, snap, recovered=None):
         return snap.detail.get("sig")
 
 

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro import TraceSession
 from repro.fleet import (
+    Collector,
     RetentionPolicy,
     SnapVault,
     VaultEntry,
@@ -18,6 +20,9 @@ from repro.fleet import (
 from repro.fleet.index import IncidentIndex
 from repro.reconstruct import CrashSignature, signature_key
 from repro.reconstruct.signature import normalize_reason
+from repro.runtime import RuntimeConfig, SnapPolicy
+from repro.runtime.sync import reset_runtime_ids
+from repro.workloads import random_crasher
 from tests.fleet.test_incidents import run_two_peer_fanout
 
 WEB_SIG = "unhandled:DIVIDE_BY_ZERO @ web.main(web.c:5)"
@@ -87,6 +92,39 @@ def test_ingest_mines_signature_for_the_crasher_only(tmp_path):
     assert by_process["web"] == WEB_SIG
     assert by_process["db"] is None  # group bystander: not a fault
     assert vault.metrics.signatures_mined == 1
+
+
+def test_drain_skips_a_mapfile_that_does_not_load(tmp_path):
+    # A stored mapfile that is not JSON, and one that is JSON but not a
+    # mapfile, sit beside the good one: ingest still stores the snap
+    # with the signature a clean vault gives it, and counts both skips.
+    reset_runtime_ids()
+    session = TraceSession(
+        runtime_config=RuntimeConfig(
+            policy=SnapPolicy.parse("snap on unhandled")
+        )
+    )
+    session.add_minic(random_crasher(0), name="rnd", file_name="rnd.c")
+    run = session.run(max_cycles=30_000_000)
+    mined = {}
+    for name, junk in (
+        ("junk", {"zz": "{not json", "yy": '{"module_name": "rnd"}'}),
+        ("clean", {}),
+    ):
+        vault = SnapVault(str(tmp_path / name))
+        for mapfile in run.mapfiles:
+            vault.put_mapfile(mapfile)
+        for stem, text in junk.items():
+            path = tmp_path / name / "mapfiles" / f"{stem}.map.json"
+            path.write_text(text)
+        collector = Collector(vault)
+        collector.submit(run.snap)
+        assert collector.drain() == 1
+        [entry] = vault.index.values()
+        mined[name] = (entry.sig, vault.metrics.mapfiles_skipped)
+    sig = mined["clean"][0]
+    assert sig is not None and "DIVIDE_BY_ZERO" in sig
+    assert mined == {"clean": (sig, 0), "junk": (sig, 2)}
 
 
 def test_bucket_counts_whole_incident_but_keys_on_the_fault(tmp_path):
