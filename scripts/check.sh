@@ -8,13 +8,17 @@
 # >25% regression (benchmarks/_harness.py).
 #
 #   scripts/check.sh test-fast   default lane: everything not marked slow
-#                                (the tier-1 gate: 1569 tests, 33 s,
-#                                33 s wall on a 2-core host)
+#                                (the tier-1 gate: 1576 tests, 43 s,
+#                                44 s wall on a 2-core host)
 #   scripts/check.sh test-all    full lane: fast tests + slow tests +
 #                                every paper-table benchmark
 #   scripts/check.sh chaos       fault-injection suite: every chaos
 #                                scenario plus the full seeded fuzz
-#                                sweep (includes the slow lane)
+#                                sweep (includes the slow lane); per
+#                                snap and per distributed trace, strict
+#                                raises if and only if salvage records
+#                                a loss, naming the first, and
+#                                otherwise returns salvage's answer
 #   scripts/check.sh fleet       snap-vault subsystem: store/collector/
 #                                incident/index/parallel tests plus the
 #                                vault ingest benchmark and its guard

@@ -143,8 +143,8 @@ class LogicalThreadTrace:
 
 @dataclass
 class DegradationSummary:
-    """What a salvaged reconstruction lost, and how far down the
-    degradation ladder the answer sits.
+    """What a reconstruction lost, and how far down the degradation
+    ladder the answer sits.
 
     The ladder (DESIGN.md): **full** trace -> **gaps** (per-thread holes
     from damaged buffers) -> **approximate** (causal order between some
@@ -158,7 +158,8 @@ class DegradationSummary:
     #: Machine-name pairs whose relative causal order is approximate
     #: (no complete SYNC quadruple survives between them).
     approximate_pairs: list[tuple[str, str]] = field(default_factory=list)
-    #: Machines that should have contributed a snap but did not.
+    #: Machines that should have contributed a snap but did not (an
+    #: unnamed one by its snap's position, e.g. ``<snap 2>``).
     missing_machines: list[str] = field(default_factory=list)
 
     @property
@@ -177,6 +178,14 @@ class DegradationSummary:
         if self.losses:
             return "gaps"
         return "full"
+
+    @property
+    def loss(self) -> str | None:
+        """The first missing machine or loss, which strict mode refuses;
+        None when nothing was lost (approximate pairs lose nothing)."""
+        if self.missing_machines:
+            return f"machine {self.missing_machines[0]}: no snap recovered"
+        return self.losses[0] if self.losses else None
 
     def lines(self) -> list[str]:
         """Display lines for the degradation banner."""
@@ -204,5 +213,8 @@ class DistributedTrace:
     logical_threads: list[LogicalThreadTrace]
     #: (runtime_a, runtime_b) -> estimated clock offset b - a (§5.2).
     skew_estimates: dict[tuple[int, int], int] = field(default_factory=dict)
-    #: Filled by salvage-mode reconstruction; None after a strict run.
-    degradation: DegradationSummary | None = None
+    #: Every loss, in either mode (strict refuses the first).
+    degradation: DegradationSummary = field(default_factory=DegradationSummary)
+    #: What is absent but not lost (SYNC legs never written, used shared
+    #: buffers): rendered, never a rung.
+    notes: list[str] = field(default_factory=list)

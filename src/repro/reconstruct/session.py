@@ -8,12 +8,15 @@ with debug information embedded in the mapfiles.
 Both strict and salvage disciplines are offered, on one path.  Salvage
 mode reconstructs whatever the damage left behind — wrapped buffers,
 torn archives, ``kill -9``'d processes, whole machines missing — and
-attaches a :class:`~repro.reconstruct.model.DegradationSummary` naming
-each loss, which is the paper's actual field regime (§2.1, §4.1).
-Strict (the default) is that reconstruction refusing its first loss.
+names each loss (a distributed trace's
+:class:`~repro.reconstruct.model.DegradationSummary`), which is the
+paper's actual field regime (§2.1, §4.1).  Strict (the default) is that
+reconstruction refusing its first loss.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from repro.instrument.mapfile import Mapfile
 from repro.reconstruct.callstack import assign_depths
@@ -104,72 +107,60 @@ class Reconstructor:
         Fuses RPC caller/callee segments into logical threads and
         estimates inter-runtime clock skew from the SYNC quadruples.
 
-        Salvage mode (``strict=False``) additionally tolerates absent
-        machines: ``None`` entries in ``snaps`` are skipped, machines
-        named in ``expected_machines`` but contributing no snap are
-        reported missing, and the returned trace carries a
-        :class:`~repro.reconstruct.model.DegradationSummary` describing
-        every loss (``salvage_notes`` maps a machine name to extra loss
-        lines, e.g. from archive salvage).
+        Each snap is reconstructed the salvage way.  The trace's
+        :class:`~repro.reconstruct.model.DegradationSummary` names every
+        loss: damaged buffers, ``salvage_notes`` (machine name -> loss
+        lines, e.g. from archive salvage), machines in
+        ``expected_machines`` with no snap, ``None`` snaps none of them
+        accounts for, duplicated SYNC records.  Strict mode (the
+        default) refuses its first missing machine or loss as a
+        :class:`~repro.reconstruct.recovery.RecoveryError`.
         """
-        if strict:
-            present = [snap for snap in snaps if snap is not None]
-            if len(present) != len(snaps):
-                raise ValueError(
-                    f"{len(snaps) - len(present)} snap(s) missing; "
-                    "use salvage mode (strict=False) to reconstruct "
-                    "around the loss"
-                )
-            processes = [self.reconstruct(snap) for snap in present]
-            all_threads = [t for p in processes for t in p.threads]
-            return DistributedTrace(
-                processes=processes,
-                logical_threads=stitch_logical_threads(all_threads),
-                skew_estimates=estimate_skews(all_threads),
-            )
-
-        degradation = DegradationSummary()
-        processes = []
-        for snap in snaps:
-            if snap is None:
-                continue
-            process = self.reconstruct(snap, strict=False)
-            processes.append(process)
+        processes = [
+            self.reconstruct(snap, strict=False)
+            for snap in snaps
+            if snap is not None
+        ]
+        losses: list[str] = []
+        notes: list[str] = []
+        for process in processes:
+            machine = process.machine_name
             for report in process.salvage:
-                if report.damaged:
-                    degradation.losses.append(
-                        f"machine {process.machine_name}: {report.summary()}"
-                    )
-        seen_machines = {p.machine_name for p in processes}
-        for machine in expected_machines or []:
-            if machine not in seen_machines:
-                degradation.missing_machines.append(machine)
+                if report.loss is not None:
+                    losses.append(f"machine {machine}: {report.summary()}")
+                elif report.damaged:  # a used shared buffer loses nothing
+                    notes.append(f"machine {machine}: {report.problems[0]}")
         for machine, lines in (salvage_notes or {}).items():
-            degradation.losses.extend(
-                f"machine {machine}: {line}" for line in lines
-            )
-
+            losses.extend(f"machine {machine}: {line}" for line in lines)
         all_threads = [t for p in processes for t in p.threads]
-        stitch_notes: list[str] = []
-        logical = stitch_logical_threads(
-            all_threads, salvage=True, notes=stitch_notes
-        )
-        degradation.losses.extend(stitch_notes)
+        logical = stitch_logical_threads(all_threads, losses, notes)
 
         # Which machine pairs lack any surviving SYNC anchor?  Their
         # relative order in a merged view is approximate at best.
+        seen = {p.machine_name for p in processes}
+        missing = [m for m in expected_machines or [] if m not in seen]
         covered = sync_machine_pairs(all_threads)
-        machines = sorted(
-            seen_machines | set(degradation.missing_machines)
+        approximate = [
+            pair
+            for pair in combinations(sorted(seen | set(missing)), 2)
+            if pair not in covered
+        ]
+        # A lost snap no expected machine accounts for is still lost;
+        # its machine unknown, it goes by its position.
+        lost = [i for i, snap in enumerate(snaps) if snap is None]
+        missing += [f"<snap {i}>" for i in lost[len(missing) :]]
+        degradation = DegradationSummary(
+            losses, approximate_pairs=approximate, missing_machines=missing
         )
-        for i, a in enumerate(machines):
-            for b in machines[i + 1 :]:
-                if (a, b) not in covered:
-                    degradation.approximate_pairs.append((a, b))
-
+        if strict and degradation.loss is not None:
+            raise RecoveryError(
+                f"{degradation.loss}; use salvage mode (strict=False) to "
+                "reconstruct around the loss"
+            )
         return DistributedTrace(
             processes=processes,
             logical_threads=logical,
             skew_estimates=estimate_skews(all_threads),
             degradation=degradation,
+            notes=notes,
         )

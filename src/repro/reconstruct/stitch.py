@@ -17,6 +17,7 @@ correct even when skew is large.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from repro.reconstruct.model import (
     LogicalSegment,
@@ -63,13 +64,13 @@ def collect_sync_points(traces: list[ThreadTrace]) -> list[SyncPoint]:
 
 
 def dedupe_sync_points(
-    points: list[SyncPoint], notes: list[str] | None = None
+    points: list[SyncPoint], losses: list[str] | None = None
 ) -> list[SyncPoint]:
     """Drop duplicated SYNC records (damaged buffers can replay them).
 
     Two points are duplicates when they agree on (logical id, seq, sync
-    kind, runtime id); the first occurrence wins.  On undamaged traces
-    this is the identity.
+    kind, runtime id); the first occurrence wins.  A live runtime never
+    writes one twice: on undamaged traces this is the identity.
     """
     seen: set[tuple[int, int, int, int]] = set()
     kept: list[SyncPoint] = []
@@ -81,19 +82,20 @@ def dedupe_sync_points(
             continue
         seen.add(key)
         kept.append(point)
-    if dropped and notes is not None:
-        notes.append(f"{dropped} duplicated SYNC record(s) ignored")
+    if dropped and losses is not None:
+        losses.append(f"{dropped} duplicated SYNC record(s) ignored")
     return kept
 
 
 def annotate_sync_gaps(
     chain: list[SyncPoint], notes: list[str]
 ) -> None:
-    """Describe missing legs in one logical thread's SYNC chain.
+    """Note the legs missing from one logical thread's SYNC chain.
 
-    A healthy RPC leaves four successive sequence numbers; a hole means
-    a leg's record was lost (dropped SYNC, overwritten buffer, dead
-    machine) and the fused order around it is approximate.
+    A hole proves no loss: undamaged evidence leaves them (a callee's
+    snap cut at its fault before its EXIT — Figure 6 — a ring wrap, a
+    participant with no snap), and damage that makes one is named by
+    its own layer (skipped words, a duplicate, a missing machine).
     """
     if not chain:
         return
@@ -103,8 +105,7 @@ def annotate_sync_gaps(
         if cur > prev + 1:
             notes.append(
                 f"logical thread {logical:#x}: SYNC leg(s) missing "
-                f"(sequence jumps {prev} -> {cur}); causal order "
-                "approximate across the gap"
+                f"(sequence jumps {prev} -> {cur})"
             )
     kinds = [p.sync_kind for p in chain]
     if kinds and kinds[0] not in (SyncKind.CALL_OUT, SyncKind.ENTER):
@@ -128,16 +129,13 @@ def sync_machine_pairs(traces: list[ThreadTrace]) -> set[tuple[str, str]]:
         )
     pairs: set[tuple[str, str]] = set()
     for machines in by_logical.values():
-        ordered = sorted(machines)
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1 :]:
-                pairs.add((a, b))
+        pairs.update(combinations(sorted(machines), 2))
     return pairs
 
 
 def stitch_logical_threads(
     traces: list[ThreadTrace],
-    salvage: bool = False,
+    losses: list[str] | None = None,
     notes: list[str] | None = None,
 ) -> list[LogicalThreadTrace]:
     """Fuse physical-thread segments into logical threads.
@@ -148,18 +146,17 @@ def stitch_logical_threads(
     resumes at its RETURN.  Nested RPC chains compose because the callee
     passing the logical id along produces further CALL_OUTs with higher
     sequence numbers on the same logical id ("establishing a causality
-    chain of physical thread trace segments").
+    chain of physical thread trace segments").  Dropped duplicates go
+    on ``losses``, missing legs on ``notes``.
     """
-    points = collect_sync_points(traces)
-    if salvage:
-        points = dedupe_sync_points(points, notes)
+    points = dedupe_sync_points(collect_sync_points(traces), losses)
     by_logical: dict[int, list[SyncPoint]] = {}
     for point in points:
         by_logical.setdefault(point.logical_id, []).append(point)
 
     logical_traces: list[LogicalThreadTrace] = []
     for logical_id, chain in sorted(by_logical.items()):
-        if salvage and notes is not None:
+        if notes is not None:
             annotate_sync_gaps(chain, notes)
         logical = LogicalThreadTrace(logical_id=logical_id)
         #: Where each physical trace's cursor stands (step index).

@@ -135,35 +135,31 @@ def render_logical(logical: LogicalThreadTrace) -> str:
     return "\n".join(rows)
 
 
-def render_degradation(summary: DegradationSummary | None) -> str:
-    """The degradation banner a salvaged reconstruction leads with."""
-    if summary is None or not summary.degraded:
+def render_degradation(summary: DegradationSummary) -> str:
+    """The degradation banner a reconstruction leads with."""
+    if not summary.degraded:
         return "degradation: full (no losses)"
     return summary.summary()
 
 
 def render_distributed(trace: DistributedTrace) -> str:
-    """Render a master trace, degradation banner first (§5 + salvage).
+    """Render a master trace, degradation banner and notes first (§5).
 
     Healthy traces get the fused logical threads plus one globally
     merged multi-thread view.  When causal order between some machines
     is only approximate (no surviving SYNC pair), the merged view drops
     to the ladder's per-machine rung rather than fabricate an order.
     """
-    rows: list[str] = []
-    if trace.degradation is not None:
-        rows.append(render_degradation(trace.degradation))
-        rows.append("")
+    rows = [render_degradation(trace.degradation)]
+    rows.extend(f"note: {note}" for note in trace.notes)
+    rows.append("")
     for logical in trace.logical_threads:
         rows.append(render_logical(logical))
         rows.append("")
     all_threads = [t for p in trace.processes for t in p.threads]
-    approximate = bool(
-        trace.degradation is not None and trace.degradation.approximate_pairs
-    )
     if not all_threads:
         rows.append("(no recoverable trace on any machine)")
-    elif approximate:
+    elif trace.degradation.approximate_pairs:
         for machine, steps in merge_grouped(all_threads):
             rows.append(f"machine {machine} (local order only)")
             for owner, step in steps:

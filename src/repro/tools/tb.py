@@ -149,9 +149,8 @@ def cmd_view(args: argparse.Namespace) -> int:
         from repro.reconstruct.model import DegradationSummary
 
         # Load losses are losses too, as an incident's archive notes are.
-        summary = DegradationSummary(
-            losses=load_notes + [r.summary() for r in trace.salvage if r.damaged]
-        )
+        lost = [r.summary() for r in trace.salvage if r.loss is not None]
+        summary = DegradationSummary(losses=load_notes + lost)
         print(render_degradation(summary))
     if args.flat:
         for thread in trace.threads:
@@ -437,8 +436,6 @@ def cmd_incidents(args: argparse.Namespace) -> int:
         except (RemoteQueryError, ValueError, OSError) as exc:
             print(f"    reconstruction failed: {exc}")
             continue
-        if trace.degradation is not None and trace.degradation.degraded:
-            print(render_degradation(trace.degradation))
         print(render_distributed(trace))
     _print_coverage(federation, report, as_json=False)
     return 0

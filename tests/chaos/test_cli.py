@@ -96,6 +96,37 @@ def test_view_torn_archive_strict_vs_salvage(capsys, tmp_path):
     assert "note:" in captured.out
 
 
+def test_view_used_shared_buffer_is_a_note_not_a_loss(artifacts, capsys):
+    """A used shared (desperation) buffer is unreadable by design, not
+    damaged: plain ``view`` notes it, and ``--salvage`` notes it too
+    without counting a loss."""
+    from repro.runtime import BufferFlags
+    from repro.runtime.buffers import HEADER_WORDS
+    from repro.runtime.snap import BufferDump, SnapFile
+
+    tmp, snap, mapfile = artifacts
+    shared = SnapFile.load(str(snap))
+    index = 1 + max(b.index for b in shared.buffers if b.index < 0xFF00)
+    shared.buffers.append(
+        BufferDump(
+            index=index,
+            flags=BufferFlags.SHARED,
+            base=0,
+            sub_count=1,
+            sub_size=4,
+            owner_tid=None,
+            words=[0] * HEADER_WORDS + [1, 0, 0, 0],
+        )
+    )
+    path = tmp / "shared.json"
+    shared.save(str(path))
+    for salvage in ([], ["--salvage"]):
+        assert main(["view", str(path), str(mapfile), *salvage]) == 0
+        out = capsys.readouterr().out
+        assert f"note: buffer {index}: shared (desperation)" in out
+    assert "degradation: full (no losses)" in out
+
+
 @pytest.mark.parametrize("damage", ["malformed-thread", "non-word"])
 def test_view_salvages_a_damaged_json_snap(artifacts, capsys, damage):
     """``--salvage`` reads JSON snaps tolerantly too: a malformed thread

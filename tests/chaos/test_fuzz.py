@@ -22,6 +22,10 @@ Two contracts under fuzz:
 * **One decoder per layer.**  Strict raises if and only if salvage
   records a loss (a shared buffer's note is not one), and its message
   is salvage's first loss — for process snaps and containers alike.
+* **One stitch.**  Strict distributed reconstruction raises if and only
+  if salvage's degradation summary records a loss or a missing machine,
+  and its message names that first item; otherwise its logical threads,
+  process threads and skew estimates equal salvage's.
 """
 
 import random
@@ -84,6 +88,23 @@ def _damage_snaps(snaps, rng):
     return damaged, notes
 
 
+def _check_strict_distributed(salvaged, reconstruct_strict):
+    """The one-stitch contract: strict refuses salvage's first missing
+    machine or loss, and otherwise returns what salvage returned."""
+    loss = salvaged.degradation.loss
+    try:
+        strict = reconstruct_strict()
+    except RecoveryError as exc:
+        assert loss is not None and loss in str(exc)
+        return
+    assert loss is None
+    assert strict.logical_threads == salvaged.logical_threads
+    assert [p.threads for p in strict.processes] == [
+        p.threads for p in salvaged.processes
+    ]
+    assert strict.skew_estimates == salvaged.skew_estimates
+
+
 def _fuzz_one(snaps, mapfiles, seed):
     rng = random.Random(seed)
     damaged, notes = _damage_snaps(snaps, rng)
@@ -93,6 +114,9 @@ def _fuzz_one(snaps, mapfiles, seed):
     )
     assert trace.degradation is not None
     assert isinstance(render_distributed(trace), str)
+    _check_strict_distributed(
+        trace, lambda: reconstructor.reconstruct_distributed(damaged)
+    )
     # Ground truth was produced, even if this particular damage landed
     # somewhere reconstruction tolerates silently.
     assert notes
@@ -177,9 +201,11 @@ def test_fuzz_archive_names_a_vanished_module(base):
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_fuzz_every_scenario_every_seed(name, seed):
-    trace = run_scenario(name, seed=seed).reconstruct(strict=False)
+    result = run_scenario(name, seed=seed)
+    trace = result.reconstruct(strict=False)
     assert trace.degradation is not None
     assert isinstance(render_distributed(trace), str)
+    _check_strict_distributed(trace, lambda: result.reconstruct(strict=True))
 
 
 # ----------------------------------------------------------------------

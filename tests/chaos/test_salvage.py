@@ -8,6 +8,7 @@ fail-fast contract on structurally damaged evidence.
 """
 
 import random
+import re
 
 import pytest
 
@@ -18,7 +19,11 @@ from repro.reconstruct import (
     RecoveryError,
     render_distributed,
 )
+from repro.runtime import BufferFlags
 from repro.runtime.archive import ArchiveError, compress_snap, decompress_snap
+from repro.runtime.buffers import HEADER_WORDS
+from repro.runtime.snap import BufferDump
+from repro.workloads.scenarios import figure6_session
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +135,40 @@ def test_strict_distributed_rejects_none_snaps(base):
         )
 
 
+@pytest.mark.parametrize("seed", [9, 13, 24, 27])
+def test_duplicated_sync_strict_refuses(seed):
+    """On these seeds the duplicated SYNC records are the only loss, so
+    only the stitch's dedupe sees them; strict refuses it by name
+    rather than fuse a wrong logical thread."""
+    result = run_scenario("duplicated-sync", seed=seed)
+    loss = result.reconstruct().degradation.loss
+    assert loss == "3 duplicated SYNC record(s) ignored"
+    with pytest.raises(RecoveryError, match=re.escape(loss)):
+        result.reconstruct(strict=True)
+
+
+def test_used_shared_buffer_is_a_note_not_a_loss(base):
+    snaps, mapfiles = base
+    shared = copy_snap(snaps[0])
+    shared.buffers.append(
+        BufferDump(
+            index=len(shared.buffers),
+            flags=BufferFlags.SHARED,
+            base=0,
+            sub_count=1,
+            sub_size=4,
+            owner_tid=None,
+            words=[0] * HEADER_WORDS + [1, 0, 0, 0],
+        )
+    )
+    snaps = [shared, *snaps[1:]]
+    recon = Reconstructor(mapfiles)
+    salvaged = recon.reconstruct_distributed(snaps, strict=False)
+    assert salvaged.degradation.level == "full"
+    assert any("shared (desperation)" in note for note in salvaged.notes)
+    assert recon.reconstruct_distributed(snaps).notes == salvaged.notes
+
+
 def test_strict_single_snap_raises_on_clobbered_header(base):
     snaps, mapfiles = base
     bad = copy_snap(snaps[0])
@@ -173,9 +212,26 @@ def test_salvage_equals_strict_on_clean_snaps(base):
 
 
 def test_salvage_distributed_on_clean_run_is_full(base):
-    snaps, mapfiles = base
-    trace = Reconstructor(mapfiles).reconstruct_distributed(
-        list(snaps), strict=False, expected_machines=None
-    )
-    assert trace.degradation.level == "full"
-    assert trace.logical_threads
+    """Undamaged runs read full, and strict stitches what salvage does.
+    Figure 6's server faults inside SetPetName, so its snap holds no
+    EXIT leg (seq 3), and GetPetName's callee legs (6, 7) come after
+    that snap: two chain gaps, noted and not lost."""
+    figure6 = figure6_session().run()
+    for snaps, mapfiles, jumps in (
+        (base[0], base[1], []),
+        (figure6.snaps, figure6.mapfiles, ["2 -> 4", "5 -> 8"]),
+    ):
+        recon = Reconstructor(mapfiles)
+        trace = recon.reconstruct_distributed(
+            list(snaps), strict=False, expected_machines=None
+        )
+        assert trace.degradation.level == "full"
+        assert trace.logical_threads
+        logical = trace.logical_threads[0].logical_id
+        assert trace.notes == [
+            f"logical thread {logical:#x}: SYNC leg(s) missing "
+            f"(sequence jumps {jump})"
+            for jump in jumps
+        ]
+        strict = recon.reconstruct_distributed(list(snaps))
+        assert strict.logical_threads == trace.logical_threads

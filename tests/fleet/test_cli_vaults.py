@@ -8,8 +8,10 @@ cross-vault incident reconstructs and whose canonical answers equal one
 merged vault's; and no read-only command may create a vault.
 """
 
+import glob
 import json
 import os
+import shutil
 
 import pytest
 
@@ -146,6 +148,22 @@ def test_replay_resolves_through_the_same_path(demo_vault, capsys):
         ) == 1
         err = capsys.readouterr().err
         assert f"cannot replay {entry.digest[:12]}" in err
+
+
+def test_degraded_incident_prints_one_banner(demo_vault, capsys, tmp_path):
+    """A flipped byte in a stored blob degrades the incident; its banner
+    leads the rendered trace once."""
+    root = str(tmp_path / "vault")
+    shutil.copytree(demo_vault, root)
+    blob = sorted(glob.glob(os.path.join(root, "shard-*", "*.tbsz")))[0]
+    with open(blob, "r+b") as f:
+        data = f.read()
+        f.seek(len(data) // 2)
+        f.write(bytes([data[len(data) // 2] ^ 0x01]))
+    out = run(capsys, "incidents", "--vault", root)
+    assert out.startswith("1 incident(s)")
+    assert out.count("degradation:") == 1
+    assert "degradation: full" not in out
 
 
 # ----------------------------------------------------------------------
